@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfn
-from .linalg import SpdMatrix, log_det, quad_form, solve, solve_lower_batch, sqrt_spd
+from .linalg import SpdMatrix, log_det, quad_form, solve, solve_lower_batch
 
 __all__ = [
     "SkewTParams",
@@ -102,30 +102,22 @@ class SkewTParams:
 class DerivedShape:
     """Quantities derived from the shape vector.
 
-    ``delta_tilde`` is the standardized shape S^{-1/2} delta, ``dd`` its
-    squared length delta' S^{-1} delta, and ``delta_hat`` the moment-form
-    shape delta / sqrt(1 + dd). ``beta`` is identically 1 under the frozen
-    parameterization and is kept for the report surface.
+    ``dd`` is the squared standardized length delta' S^{-1} delta and
+    ``delta_hat`` the moment-form shape delta / sqrt(1 + dd).
     """
 
-    beta: float
     delta_hat: np.ndarray
-    delta_tilde: np.ndarray
     dd: float
 
 
 def derive_shape(p: SkewTParams) -> DerivedShape:
     """Derived shape quantities for a component; delta = 0 gives all zeros."""
     if not np.any(p.delta):
-        zero = np.zeros(p.dim)
-        return DerivedShape(beta=1.0, delta_hat=zero, delta_tilde=zero.copy(), dd=0.0)
+        return DerivedShape(delta_hat=np.zeros(p.dim), dd=0.0)
     dd = float(quad_form(p.scale, p.delta))
     if not np.isfinite(dd) or dd < 0.0:
         raise ValueError(f"shape standardization failed: delta'S^-1 delta = {dd}")
-    root = sqrt_spd(p.scale)
-    delta_tilde = solve(root, p.delta)
-    delta_hat = p.delta / math.sqrt(1.0 + dd)
-    return DerivedShape(beta=1.0, delta_hat=delta_hat, delta_tilde=delta_tilde, dd=dd)
+    return DerivedShape(delta_hat=p.delta / math.sqrt(1.0 + dd), dd=dd)
 
 
 @dataclass(frozen=True)
@@ -171,37 +163,40 @@ def _check_x(p: SkewTParams, x) -> np.ndarray:
     return x
 
 
-def mt_logpdf(p: SkewTParams, x) -> float | np.ndarray:
-    """Multivariate t log density (the shape vector is ignored)."""
+def _mahalanobis(p: SkewTParams, x):
+    """Checked x and Q = (x - mu)' S^{-1} (x - mu)."""
     x = _check_x(p, x)
+    z = solve_lower_batch(p.scale.cholesky_factor, x - p.mu)
+    return x, np.sum(z * z, axis=-1)
+
+
+def _mt_log_density(p: SkewTParams, q):
     v, d = p.dof, p.dim
-    lower = p.scale.cholesky_factor
-    z = solve_lower_batch(lower, x - p.mu)
-    q = np.sum(z * z, axis=-1)
-    out = (
+    return (
         specfn.log_gamma((v + d) / 2.0)
         - specfn.log_gamma(v / 2.0)
         - d / 2.0 * math.log(v * math.pi)
         - 0.5 * log_det(p.scale)
         - (v + d) / 2.0 * np.log1p(q / v)
     )
+
+
+def mt_logpdf(p: SkewTParams, x) -> float | np.ndarray:
+    """Multivariate t log density (the shape vector is ignored)."""
+    _, q = _mahalanobis(p, x)
+    out = _mt_log_density(p, q)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def skewt_logpdf(p: SkewTParams, x) -> float | np.ndarray:
     """Skew-t log density; reduces exactly to mt_logpdf when delta = 0."""
-    base = mt_logpdf(p, x)
-    if not np.any(p.delta):
-        return base
-    x = _check_x(p, x)
-    v, d = p.dof, p.dim
-    lower = p.scale.cholesky_factor
-    z = solve_lower_batch(lower, x - p.mu)
-    q = np.sum(z * z, axis=-1)
-    lin = (x - p.mu) @ solve(p.scale, p.delta)
-    arg = lin * np.sqrt((v + d) / (v + q))
-    gl = np.log(specfn.student_t_cdf(arg, v + d))
-    out = math.log(2.0) + base + gl
+    x, q = _mahalanobis(p, x)
+    out = _mt_log_density(p, q)
+    if np.any(p.delta):
+        v, d = p.dof, p.dim
+        lin = (x - p.mu) @ solve(p.scale, p.delta)
+        arg = lin * np.sqrt((v + d) / (v + q))
+        out = math.log(2.0) + out + np.log(specfn.student_t_cdf(arg, v + d))
     return float(out) if np.ndim(out) == 0 else out
 
 

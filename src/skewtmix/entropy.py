@@ -72,15 +72,6 @@ class QuadratureSpec:
 _DEFAULT_SPEC = QuadratureSpec()
 
 
-def _t_weight_logpdf(y: float, w: float) -> float:
-    return (
-        specfn.log_gamma((w + 1.0) / 2.0)
-        - specfn.log_gamma(w / 2.0)
-        - 0.5 * math.log(w * math.pi)
-        - (w + 1.0) / 2.0 * math.log1p(y * y / w)
-    )
-
-
 def _integrate_line(fn, scale: float, spec: QuadratureSpec):
     """Integrate fn over the real line; returns (value, converged flag).
 
@@ -125,7 +116,7 @@ def _expect_t(fn, w: float, spec: QuadratureSpec) -> float:
     """E[fn(Y)] for Y ~ t_w, by adaptive quadrature with an MC fallback."""
 
     def integrand(y):
-        return math.exp(_t_weight_logpdf(y, w)) * fn(y)
+        return math.exp(specfn.student_t_logpdf(y, w)) * fn(y)
 
     val, ok = _integrate_line(integrand, w, spec)
     if ok:
@@ -306,7 +297,7 @@ def skewt_renyi(
     # representable (the factor is bounded by 2^alpha but concentrates).
     probe_half = 50.0 * max(1.0, s)
     probe = np.linspace(-probe_half, probe_half, 801)
-    peak = max(_t_weight_logpdf(x, dof_x) + log_factor(x) for x in probe)
+    peak = max(specfn.student_t_logpdf(x, dof_x) + log_factor(x) for x in probe)
     if not math.isfinite(peak):
         raise ArithmeticError("order-alpha power expectation degenerated to zero")
 
@@ -314,7 +305,7 @@ def skewt_renyi(
         lf = log_factor(x)
         if lf == -math.inf:
             return 0.0
-        return math.exp(_t_weight_logpdf(x, dof_x) + lf - peak)
+        return math.exp(specfn.student_t_logpdf(x, dof_x) + lf - peak)
 
     scaled, converged = _integrate_line(fn, dof_x, spec)
     if scaled is None or scaled <= 0.0:

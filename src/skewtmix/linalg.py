@@ -1,8 +1,9 @@
 """Dense symmetric positive definite matrix helpers for small dimensions.
 
-Scale matrices in this package are tiny (d up to roughly 10), so the
-factorizations are written out directly. numpy.linalg is left untouched
-here on purpose: the tests use it as an independent oracle.
+Scale matrices in this package are tiny (d up to roughly 10). The
+factorizations come from numpy.linalg and scipy.linalg; this module adds
+input validation, the batched (..., d) layout, and one error type for
+matrices that are not positive definite.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import linalg
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -22,9 +24,6 @@ __all__ = [
     "solve_lower_batch",
     "solve_upper_batch",
 ]
-
-_JACOBI_SWEEPS = 60
-_JACOBI_TOL = 1e-14
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -61,15 +60,10 @@ class SpdMatrix:
 
 
 def _cholesky_factor(a: np.ndarray) -> np.ndarray:
-    d = a.shape[0]
-    lower = np.zeros_like(a)
-    for j in range(d):
-        s = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if not (s > 0.0) or not np.isfinite(s):
-            raise NotPositiveDefiniteError("not positive definite")
-        lower[j, j] = np.sqrt(s)
-        if j + 1 < d:
-            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError("not positive definite") from None
     lower.setflags(write=False)
     return lower
 
@@ -89,28 +83,21 @@ def log_det(s) -> float:
     return float(2.0 * np.sum(np.log(np.diag(l))))
 
 
+def _solve_triangular_batch(lower: np.ndarray, b, trans: int) -> np.ndarray:
+    b = np.asarray(b, dtype=float)
+    flat = b.reshape(-1, lower.shape[0])
+    out = linalg.solve_triangular(lower, flat.T, trans=trans, lower=True, check_finite=False)
+    return out.T.reshape(b.shape)
+
+
 def solve_lower_batch(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve L y = b for lower triangular L; b has shape (..., d)."""
-    d = lower.shape[0]
-    y = np.empty_like(b, dtype=float)
-    for i in range(d):
-        acc = b[..., i]
-        if i:
-            acc = acc - y[..., :i] @ lower[i, :i]
-        y[..., i] = acc / lower[i, i]
-    return y
+    return _solve_triangular_batch(lower, b, 0)
 
 
 def solve_upper_batch(lower: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Solve L' x = y for lower triangular L; y has shape (..., d)."""
-    d = lower.shape[0]
-    x = np.empty_like(y, dtype=float)
-    for i in range(d - 1, -1, -1):
-        acc = y[..., i]
-        if i + 1 < d:
-            acc = acc - x[..., i + 1 :] @ lower[i + 1 :, i]
-        x[..., i] = acc / lower[i, i]
-    return x
+    return _solve_triangular_batch(lower, y, 1)
 
 
 def solve(s, b) -> np.ndarray:
@@ -134,39 +121,9 @@ def quad_form(s, z) -> float | np.ndarray:
     return float(q) if q.ndim == 0 else q
 
 
-def _jacobi_eigh(a: np.ndarray):
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix."""
-    d = a.shape[0]
-    m = np.array(a, dtype=float)
-    v = np.eye(d)
-    scale = np.max(np.abs(m)) or 1.0
-    for _ in range(_JACOBI_SWEEPS):
-        off = 0.0
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                off = max(off, abs(m[p, q]))
-                if abs(m[p, q]) <= _JACOBI_TOL * scale:
-                    continue
-                theta = 0.5 * (m[q, q] - m[p, p]) / m[p, q]
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0)) if theta != 0.0 else 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(d)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                m = rot.T @ m @ rot
-                v = v @ rot
-        if off <= _JACOBI_TOL * scale:
-            break
-    return np.diag(m).copy(), v
-
-
 def sqrt_spd(s) -> SpdMatrix:
     """Symmetric square root M with M M equal to the input matrix."""
-    spd = _as_spd(s)
-    eigvals, eigvecs = _jacobi_eigh(spd.entries)
+    eigvals, eigvecs = np.linalg.eigh(_as_spd(s).entries)
     if np.any(eigvals <= 0.0):
         raise NotPositiveDefiniteError("not positive definite")
-    root = (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
-    return SpdMatrix(0.5 * (root + root.T))
+    return SpdMatrix((eigvecs * np.sqrt(eigvals)) @ eigvecs.T)

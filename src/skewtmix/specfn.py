@@ -1,10 +1,9 @@
-"""Scalar special functions used by the entropy formulas.
+"""Special functions used by the entropy formulas.
 
-All functions accept floats or numpy arrays and are evaluated elementwise.
-Implementations are self-contained (Stirling/Bernoulli series for the gamma
-family, a Lentz-style continued fraction for the regularized incomplete
-beta), so that scipy.special stays available as an independent oracle in
-the test suite.
+All functions accept floats or numpy arrays and are evaluated elementwise;
+scalar input gives a ``float``. They are thin wrappers over ``math.lgamma``
+and ``scipy.special``. Plain floats are validated with ``math`` checks so
+that quadrature integrands, which call these in tight loops, stay cheap.
 
 Domain violations and NaN inputs raise ``ValueError``; they are never
 propagated silently.
@@ -15,6 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import special
 
 __all__ = [
     "log_gamma",
@@ -25,34 +25,13 @@ __all__ = [
     "student_t_logpdf",
 ]
 
-_HALF_LOG_2PI = 0.9189385332046727417803297364056176
 
-# Stirling series coefficients B_{2k} / (2k (2k-1)) for ln Gamma.
-_LGAMMA_COEF = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-)
+def _is_scalar(*values) -> bool:
+    return all(isinstance(v, (int, float)) for v in values)
 
-# Asymptotic series coefficients B_{2k} / (2k) for digamma.
-_DIGAMMA_COEF = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
 
-_RECURRENCE_CUTOFF = 10.0
-_BETACF_MAX_ITER = 300
-_BETACF_EPS = 1e-15
-_TINY = 1e-300
+def _finite_scalars(*values) -> bool:
+    return all(math.isfinite(v) for v in values)
 
 
 def _as_array(x, name: str):
@@ -63,205 +42,58 @@ def _as_array(x, name: str):
 
 
 def _maybe_scalar(result, *inputs):
-    if all(np.isscalar(v) or np.ndim(v) == 0 for v in inputs):
+    if all(np.ndim(v) == 0 for v in inputs):
         return float(result)
     return result
 
 
-def _is_scalar(*values) -> bool:
-    return all(isinstance(v, (int, float)) for v in values)
-
-
-# --- scalar fast paths -----------------------------------------------------
-# Plain-float twins of the array code, used on scalar input; quadrature
-# integrands call these in tight loops.
-
-def _lgamma_s(x: float) -> float:
-    shift = 0.0
-    while x < _RECURRENCE_CUTOFF:
-        shift += math.log(x)
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    series = 0.0
-    power = 1.0 / x
-    for c in _LGAMMA_COEF:
-        series += c * power
-        power *= inv2
-    return (x - 0.5) * math.log(x) - x + _HALF_LOG_2PI + series - shift
-
-
-def _betacf_s(a: float, b: float, x: float) -> float:
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _BETACF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETACF_EPS:
-            break
-    return h
-
-
-def _reg_inc_beta_s(a: float, b: float, x: float) -> float:
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    swap = x >= (a + 1.0) / (a + b + 2.0)
-    if swap:
-        a, b, x = b, a, 1.0 - x
-    ln_front = (
-        a * math.log(x)
-        + b * math.log1p(-x)
-        - (_lgamma_s(a) + _lgamma_s(b) - _lgamma_s(a + b))
-        - math.log(a)
-    )
-    val = math.exp(ln_front) * _betacf_s(a, b, x)
-    val = min(max(val, 0.0), 1.0)
-    return 1.0 - val if swap else val
-
-
-def _student_t_cdf_s(x: float, v: float) -> float:
-    half_tail = 0.5 * _reg_inc_beta_s(v / 2.0, 0.5, v / (v + x * x))
-    return half_tail if x <= 0.0 else 1.0 - half_tail
-
-
 def log_gamma(x):
-    """Natural log of the gamma function for x > 0.
-
-    Upward recurrence pushes the argument past 10, then the Stirling
-    series with Bernoulli corrections is applied.
-    """
+    """Natural log of the gamma function for x > 0."""
     if _is_scalar(x):
-        if not math.isfinite(x) or x <= 0.0:
+        if not (math.isfinite(x) and x > 0.0):
             raise ValueError(f"log_gamma requires finite x > 0, got {x!r}")
-        return _lgamma_s(float(x))
+        return math.lgamma(x)
     arr = _as_array(x, "x")
     if np.any(arr <= 0.0):
         raise ValueError("log_gamma requires x > 0")
-    z = np.array(arr, dtype=float, copy=True, ndmin=1)
-    shift = np.zeros_like(z)
-    small = z < _RECURRENCE_CUTOFF
-    while np.any(small):
-        shift[small] += np.log(z[small])
-        z[small] += 1.0
-        small = z < _RECURRENCE_CUTOFF
-    inv2 = 1.0 / (z * z)
-    series = np.zeros_like(z)
-    power = 1.0 / z
-    for c in _LGAMMA_COEF:
-        series += c * power
-        power *= inv2
-    out = (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI + series - shift
-    return _maybe_scalar(out.reshape(np.shape(arr)) if np.ndim(arr) else out[0], x)
+    return _maybe_scalar(special.gammaln(arr), x)
 
 
 def digamma(x):
     """Logarithmic derivative of the gamma function for x > 0."""
+    if _is_scalar(x):
+        if not (math.isfinite(x) and x > 0.0):
+            raise ValueError(f"digamma requires finite x > 0, got {x!r}")
+        return float(special.psi(x))
     arr = _as_array(x, "x")
     if np.any(arr <= 0.0):
         raise ValueError("digamma requires x > 0")
-    z = np.array(arr, dtype=float, copy=True, ndmin=1)
-    shift = np.zeros_like(z)
-    small = z < _RECURRENCE_CUTOFF
-    while np.any(small):
-        shift[small] += 1.0 / z[small]
-        z[small] += 1.0
-        small = z < _RECURRENCE_CUTOFF
-    inv2 = 1.0 / (z * z)
-    series = np.zeros_like(z)
-    power = inv2.copy()
-    for c in _DIGAMMA_COEF:
-        series += c * power
-        power *= inv2
-    out = np.log(z) - 0.5 / z - series - shift
-    return _maybe_scalar(out.reshape(np.shape(arr)) if np.ndim(arr) else out[0], x)
+    return _maybe_scalar(special.psi(arr), x)
 
 
 def log_beta(a, b):
     """ln B(a, b) for a, b > 0."""
-    return log_gamma(a) + log_gamma(b) - log_gamma(np.asarray(a, dtype=float) + b)
-
-
-def _betacf(a, b, x):
-    """Continued fraction for the incomplete beta, modified Lentz scheme.
-
-    Vectorized over x; a and b may be scalars or arrays broadcast with x.
-    Assumes the caller already applied the symmetry switch, so the
-    fraction converges quickly.
-    """
-    a = np.broadcast_to(np.asarray(a, dtype=float), x.shape).copy()
-    b = np.broadcast_to(np.asarray(b, dtype=float), x.shape).copy()
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    np.copyto(d, _TINY, where=np.abs(d) < _TINY)
-    d = 1.0 / d
-    h = d.copy()
-    active = np.ones(x.shape, dtype=bool)
-    for m in range(1, _BETACF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _TINY, where=np.abs(d) < _TINY)
-        c = 1.0 + aa / c
-        np.copyto(c, _TINY, where=np.abs(c) < _TINY)
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _TINY, where=np.abs(d) < _TINY)
-        c = 1.0 + aa / c
-        np.copyto(c, _TINY, where=np.abs(c) < _TINY)
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        active &= np.abs(delta - 1.0) >= _BETACF_EPS
-        if not active.any():
-            break
-    return h
+    if _is_scalar(a, b):
+        if not (_finite_scalars(a, b) and a > 0.0 and b > 0.0):
+            raise ValueError(f"log_beta requires finite a > 0 and b > 0, got {a!r}, {b!r}")
+        return float(special.betaln(a, b))
+    a_arr = _as_array(a, "a")
+    b_arr = _as_array(b, "b")
+    if np.any(a_arr <= 0.0) or np.any(b_arr <= 0.0):
+        raise ValueError("log_beta requires a > 0 and b > 0")
+    return _maybe_scalar(special.betaln(a_arr, b_arr), a, b)
 
 
 def reg_inc_beta(a, b, x):
-    """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1].
-
-    Uses the continued fraction directly for x < (a+1)/(a+b+2) and the
-    symmetry I_x(a,b) = 1 - I_{1-x}(b,a) otherwise.
-    """
+    """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1]."""
     if _is_scalar(a, b, x):
-        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(x)):
+        if not _finite_scalars(a, b, x):
             raise ValueError("reg_inc_beta requires finite arguments")
         if a <= 0.0 or b <= 0.0:
             raise ValueError("reg_inc_beta requires a > 0 and b > 0")
         if not 0.0 <= x <= 1.0:
             raise ValueError("reg_inc_beta requires 0 <= x <= 1")
-        return _reg_inc_beta_s(float(a), float(b), float(x))
+        return float(special.betainc(a, b, x))
     a_arr = _as_array(a, "a")
     b_arr = _as_array(b, "b")
     x_arr = _as_array(x, "x")
@@ -269,72 +101,34 @@ def reg_inc_beta(a, b, x):
         raise ValueError("reg_inc_beta requires a > 0 and b > 0")
     if np.any(x_arr < 0.0) or np.any(x_arr > 1.0):
         raise ValueError("reg_inc_beta requires 0 <= x <= 1")
-    aa, bb, xx = np.broadcast_arrays(a_arr, b_arr, x_arr)
-    xx = np.array(xx, dtype=float, copy=True, ndmin=1)
-    aa = np.array(aa, dtype=float, copy=True, ndmin=1)
-    bb = np.array(bb, dtype=float, copy=True, ndmin=1)
-    out = np.empty_like(xx)
-
-    at_zero = xx == 0.0
-    at_one = xx == 1.0
-    out[at_zero] = 0.0
-    out[at_one] = 1.0
-    interior = ~(at_zero | at_one)
-    if np.any(interior):
-        ai = aa[interior]
-        bi = bb[interior]
-        xi = xx[interior]
-        swap = xi >= (ai + 1.0) / (ai + bi + 2.0)
-        a_eff = np.where(swap, bi, ai)
-        b_eff = np.where(swap, ai, bi)
-        x_eff = np.where(swap, 1.0 - xi, xi)
-        ln_front = (
-            a_eff * np.log(x_eff)
-            + b_eff * np.log1p(-x_eff)
-            - np.asarray(log_beta(a_eff, b_eff))
-            - np.log(a_eff)
-        )
-        val = np.exp(ln_front) * _betacf(a_eff, b_eff, x_eff)
-        out[interior] = np.where(swap, 1.0 - val, val)
-    out = np.clip(out, 0.0, 1.0)
-    return _maybe_scalar(out.reshape(np.shape(xx)) if np.ndim(x) else out[0], a, b, x)
+    return _maybe_scalar(special.betainc(a_arr, b_arr, x_arr), a, b, x)
 
 
 def student_t_cdf(x, v):
-    """CDF of the standard Student t with v > 0 degrees of freedom.
-
-    Evaluated through I_{v/(v+x^2)}(v/2, 1/2), which keeps the symmetry
-    G(-x) = 1 - G(x) exact.
-    """
+    """CDF of the standard Student t with v > 0 degrees of freedom."""
     if _is_scalar(x, v):
-        if not (math.isfinite(x) and math.isfinite(v)):
+        if not _finite_scalars(x, v):
             raise ValueError("student_t_cdf requires finite arguments")
         if v <= 0.0:
             raise ValueError("student_t_cdf requires v > 0")
-        return _student_t_cdf_s(float(x), float(v))
+        return float(special.stdtr(v, x))
     x_arr = _as_array(x, "x")
     v_arr = _as_array(v, "v")
     if np.any(v_arr <= 0.0):
         raise ValueError("student_t_cdf requires v > 0")
-    xx, vv = np.broadcast_arrays(x_arr, v_arr)
-    xx = np.array(xx, dtype=float, copy=True, ndmin=1)
-    vv = np.array(vv, dtype=float, copy=True, ndmin=1)
-    xb = vv / (vv + xx * xx)
-    half_tail = 0.5 * np.asarray(reg_inc_beta(vv / 2.0, 0.5, xb), dtype=float)
-    out = np.where(xx <= 0.0, half_tail, 1.0 - half_tail)
-    return _maybe_scalar(out.reshape(np.shape(xx)) if np.ndim(x) or np.ndim(v) else out[0], x, v)
+    return _maybe_scalar(special.stdtr(v_arr, x_arr), x, v)
 
 
 def student_t_logpdf(x, v):
     """Log density of the standard Student t with v > 0 degrees of freedom."""
     if _is_scalar(x, v):
-        if not (math.isfinite(x) and math.isfinite(v)):
+        if not _finite_scalars(x, v):
             raise ValueError("student_t_logpdf requires finite arguments")
         if v <= 0.0:
             raise ValueError("student_t_logpdf requires v > 0")
         return (
-            _lgamma_s((v + 1.0) / 2.0)
-            - _lgamma_s(v / 2.0)
+            math.lgamma((v + 1.0) / 2.0)
+            - math.lgamma(v / 2.0)
             - 0.5 * math.log(v * math.pi)
             - (v + 1.0) / 2.0 * math.log1p(x * x / v)
         )
@@ -342,13 +136,10 @@ def student_t_logpdf(x, v):
     v_arr = _as_array(v, "v")
     if np.any(v_arr <= 0.0):
         raise ValueError("student_t_logpdf requires v > 0")
-    xx, vv = np.broadcast_arrays(x_arr, v_arr)
-    xx = np.asarray(xx, dtype=float)
-    vv = np.asarray(vv, dtype=float)
     out = (
-        np.asarray(log_gamma((vv + 1.0) / 2.0))
-        - np.asarray(log_gamma(vv / 2.0))
-        - 0.5 * np.log(vv * np.pi)
-        - (vv + 1.0) / 2.0 * np.log1p(xx * xx / vv)
+        np.asarray(log_gamma((v_arr + 1.0) / 2.0))
+        - np.asarray(log_gamma(v_arr / 2.0))
+        - 0.5 * np.log(v_arr * np.pi)
+        - (v_arr + 1.0) / 2.0 * np.log1p(x_arr * x_arr / v_arr)
     )
     return _maybe_scalar(out, x, v)

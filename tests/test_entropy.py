@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy import integrate
 from skewtmix.distributions import sample_skewt, skewt_logpdf
 from skewtmix.entropy import (
     QuadratureSpec,
+    QuadratureWarning,
     mt_renyi,
     mt_shannon,
     power_integral_constant,
@@ -197,3 +199,30 @@ class TestInvariants:
             QuadratureSpec(abs_tol=-1.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=2)
+
+
+# Tolerances no rule can meet within ten subdivisions: forces the failure paths.
+STARVED = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=10)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+class TestQuadratureFailure:
+    @staticmethod
+    def assert_mc_fallback_agrees(p):
+        with pytest.warns(QuadratureWarning, match="Monte Carlo fallback") as record:
+            fallback = skew_correction(p, STARVED)
+        message = next(str(w.message) for w in record if w.category is QuadratureWarning)
+        se = float(re.search(r"standard error (\S+)$", message).group(1))
+        assert se > 0.0
+        assert abs(fallback - skew_correction(p)) <= 4 * se
+
+    def test_skew_correction_mc_fallback_d1(self, case1):
+        self.assert_mc_fallback_agrees(case1)
+
+    def test_skew_correction_mc_fallback_d2(self, case2):
+        self.assert_mc_fallback_agrees(case2)
+
+    def test_renyi_warns_and_stays_finite(self, case1):
+        with pytest.warns(QuadratureWarning, match="did not reach the requested tolerance"):
+            val = skewt_renyi(case1, 2.0, STARVED)
+        assert math.isfinite(val)
