@@ -15,11 +15,7 @@ import numpy as np
 from . import tables
 from .bounds import renyi_bounds, shannon_bounds
 from .config import DEFAULT_SAMPLES, DEFAULT_SEED, ConfigError, load_config
-from .distributions import (
-    MixtureParams,
-    mixture_logpdf,
-    sample_mixture,
-)
+from .distributions import mixture_logpdf, sample_mixture
 from .entropy import mt_renyi, mt_shannon, skewt_renyi, skewt_shannon
 from .mc import fat_proposal, is_renyi, mc_renyi, mc_shannon
 from .reports import ReportRow, rows_to_csv, rows_to_json
@@ -49,18 +45,20 @@ def _parse_alpha(raw: str):
         raise ValueError(f"--alpha must be a real number or 'shannon', got {raw!r}") from exc
 
 
-def _mixture_meta(m: MixtureParams):
-    return m.dim, m.n_components, tuple(c.dof for c in m.components)
-
-
-def _cmd_entropy(args) -> int:
+def _load_run(args):
+    """Config, mixture, seed, samples, threads, (d, m, dofs) and orders of a config command."""
     cfg = load_config(args.config)
     mixture = cfg.mixture
     seed = args.seed if args.seed is not None else cfg.seed
     samples = args.samples if args.samples is not None else cfg.samples
     threads = args.threads if args.threads != "auto" else _auto_threads()
-    d, m, dofs = _mixture_meta(mixture)
+    meta = mixture.dim, mixture.n_components, tuple(c.dof for c in mixture.components)
     alphas = [_parse_alpha(a) for a in (args.alpha or ["shannon"])]
+    return cfg, mixture, seed, samples, threads, meta, alphas
+
+
+def _cmd_entropy(args) -> int:
+    cfg, mixture, seed, samples, threads, (d, m, dofs), alphas = _load_run(args)
 
     logpdf = lambda x: mixture_logpdf(mixture, x)  # noqa: E731
     sampler = lambda n, s: sample_mixture(mixture, n, s)  # noqa: E731
@@ -116,22 +114,14 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    cfg = load_config(args.config)
-    mixture = cfg.mixture
-    seed = args.seed if args.seed is not None else cfg.seed
-    samples = args.samples if args.samples is not None else cfg.samples
-    threads = args.threads if args.threads != "auto" else _auto_threads()
-    d, m, dofs = _mixture_meta(mixture)
-    alphas = [_parse_alpha(a) for a in (args.alpha or ["shannon"])]
+    cfg, mixture, seed, samples, threads, (d, m, dofs), alphas = _load_run(args)
 
     rows = []
     for alpha in alphas:
         if alpha == "shannon":
             report = shannon_bounds(mixture, cfg.quadrature, convention=args.convention)
         else:
-            if int(alpha) != alpha:
-                raise ValueError(f"integer alpha required for mixture bounds, got {alpha:g}")
-            report = renyi_bounds(mixture, int(alpha), cfg.quadrature, convention=args.convention)
+            report = renyi_bounds(mixture, alpha, cfg.quadrature, convention=args.convention)
         oracle = oracle_se = None
         if args.oracle:
             logpdf = lambda x: mixture_logpdf(mixture, x)  # noqa: E731
@@ -139,7 +129,7 @@ def _cmd_bounds(args) -> int:
             est = (
                 mc_shannon(logpdf, sampler, samples, seed, threads)
                 if alpha == "shannon"
-                else mc_renyi(logpdf, sampler, float(alpha), samples, seed, threads)
+                else mc_renyi(logpdf, sampler, alpha, samples, seed, threads)
             )
             oracle, oracle_se = est.value, est.std_error
         rows.append(

@@ -32,6 +32,7 @@ __all__ = [
 
 PLAIN_MC = "plain_mc"
 IMPORTANCE = "importance"
+ESS_RATIO_FLOOR = 0.01  # is_renyi flags an ESS below this share of n
 
 
 class LowEffectiveSampleSize(UserWarning):
@@ -90,15 +91,20 @@ def mc_shannon(logpdf, sampler, n: int, seed: int, threads: int = 1) -> Estimate
     )
 
 
+def _check_order(alpha: float) -> None:
+    if not math.isfinite(alpha) or alpha <= 0.0 or alpha == 1.0:
+        raise ValueError("alpha must be finite, positive and different from 1")
+
+
 def _log_mean_exp(logs: np.ndarray) -> tuple:
-    """(log mean exp, relative standard error of the mean)."""
+    """(log mean exp, relative standard error of the mean, exp(logs - max))."""
     shift = float(np.max(logs))
     scaled = np.exp(logs - shift)
     mean = float(np.mean(scaled))
     if mean <= 0.0:
         raise ArithmeticError("all summands vanished in the power mean")
     rel_se = float(np.std(scaled) / (mean * math.sqrt(len(scaled))))
-    return shift + math.log(mean), rel_se
+    return shift + math.log(mean), rel_se, scaled
 
 
 def mc_renyi(logpdf, sampler, alpha: float, n: int, seed: int, threads: int = 1) -> Estimate:
@@ -109,13 +115,12 @@ def mc_renyi(logpdf, sampler, alpha: float, n: int, seed: int, threads: int = 1)
     Heavy tails inflate the variance for extreme orders; the reported
     standard error stays honest either way.
     """
-    if alpha <= 0.0 or alpha == 1.0:
-        raise ValueError("alpha must be positive and different from 1")
+    _check_order(alpha)
     if n < 2:
         raise ValueError("n must be at least 2")
     lp = _eval_logpdf(logpdf, sampler(n, seed), threads)
     _check_finite(lp)
-    log_mean, rel_se = _log_mean_exp((alpha - 1.0) * lp)
+    log_mean, rel_se, _ = _log_mean_exp((alpha - 1.0) * lp)
     scale = abs(1.0 - alpha)
     return Estimate(
         value=log_mean / (1.0 - alpha),
@@ -134,7 +139,6 @@ def is_renyi(
     n: int,
     seed: int,
     threads: int = 1,
-    ess_ratio_floor: float = 0.01,
 ) -> Estimate:
     """Importance-sampling Renyi entropy of order alpha != 1.
 
@@ -142,8 +146,7 @@ def is_renyi(
     exp(alpha * target - proposal). The proposal must dominate the
     alpha-th power of the target; use fat_proposal for a safe default.
     """
-    if alpha <= 0.0 or alpha == 1.0:
-        raise ValueError("alpha must be positive and different from 1")
+    _check_order(alpha)
     if n < 2:
         raise ValueError("n must be at least 2")
     draws = proposal_sampler(n, seed)
@@ -151,15 +154,12 @@ def is_renyi(
     lq = _eval_logpdf(proposal_logpdf, draws, threads)
     _check_finite(lt)
     _check_finite(lq)
-    lw = alpha * lt - lq
-    log_mean, rel_se = _log_mean_exp(lw)
-    shift = float(np.max(lw))
-    sw = np.exp(lw - shift)
+    log_mean, rel_se, sw = _log_mean_exp(alpha * lt - lq)
     ess = float(np.sum(sw) ** 2 / np.sum(sw * sw))
-    low = ess < ess_ratio_floor * n
+    low = ess < ESS_RATIO_FLOOR * n
     if low:
         warnings.warn(
-            f"effective sample size {ess:.1f} below {ess_ratio_floor:.0%} of n = {n}",
+            f"effective sample size {ess:.1f} below {ESS_RATIO_FLOOR:.0%} of n = {n}",
             LowEffectiveSampleSize,
             stacklevel=2,
         )

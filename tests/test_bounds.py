@@ -6,6 +6,7 @@ from scipy import integrate
 
 from skewtmix import tables
 from skewtmix.bounds import (
+    DEFAULT_COMPOSITION_CAP,
     CompositionCapError,
     composition_count,
     enumerate_compositions,
@@ -125,15 +126,37 @@ class TestRenyiBounds:
         assert r.upper == pytest.approx(target, abs=1e-10)
         assert r.approx == pytest.approx(target, abs=1e-10)
 
-    def test_lower_multinomial_collapse(self, mixtures):
-        # the composition sum telescopes back to a weighted power mean
-        mix = mixtures[3]
-        for alpha in (2, 7):
-            rs = [skewt_renyi(c, float(alpha)) for c in mix.components]
-            collapsed = alpha / (1.0 - alpha) * math.log(
-                sum(w * math.exp((1.0 - alpha) / alpha * r) for w, r in zip(mix.weights, rs))
+    @staticmethod
+    def composition_sum_lower(mix, alpha):
+        """The lower bound as the explicit multinomial sum over every composition."""
+        ratio = (1.0 - alpha) / alpha
+        rs = [skewt_renyi(c, float(alpha)) for c in mix.components]
+        terms = []
+        for comp in enumerate_compositions(mix.n_components, alpha):
+            if any(k and w == 0.0 for k, w in zip(comp.parts, mix.weights)):
+                continue  # a zero weight to a positive power
+            terms.append(
+                math.log(comp.coefficient)
+                + sum(k * (math.log(w) + ratio * r) for k, w, r in zip(comp.parts, mix.weights, rs) if k)
             )
-            assert renyi_lower(mix, alpha) == pytest.approx(collapsed, abs=1e-12)
+        shift = max(terms)
+        return (shift + math.log(math.fsum(math.exp(t - shift) for t in terms))) / (1.0 - alpha)
+
+    def test_lower_multinomial_collapse(self, mixtures):
+        # the closed form is the composition sum collapsed by the multinomial theorem
+        zero_weight = make_mixture(mixtures[3].components, [0.6, 0.0, 0.4])
+        for mix in (mixtures[2], mixtures[3], mixtures[4], mixtures[5], zero_weight):
+            for alpha in (2, 7, 30):
+                expected = self.composition_sum_lower(mix, alpha)
+                assert renyi_lower(mix, alpha) == pytest.approx(expected, rel=1e-12)
+
+    def test_order_beyond_composition_cap(self, mixtures):
+        # 70,058,751 compositions: more than the default cap, yet one log-sum in closed form
+        assert composition_count(5, 200) > DEFAULT_COMPOSITION_CAP
+        for convention in ("paper", "exact", "listed"):
+            report = renyi_bounds(mixtures[5], 200, convention=convention)
+            assert math.isfinite(report.lower) and math.isfinite(report.upper)
+            assert report.lower <= report.upper
 
     def test_ordering_always_holds(self, mixtures):
         for m in (2, 3, 4, 5):
@@ -155,6 +178,9 @@ class TestRenyiBounds:
             renyi_lower(mixtures[2], 2.5)
         with pytest.raises(ValueError, match="alpha >= 2"):
             renyi_upper(mixtures[2], 1)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="integer alpha required"):
+                renyi_bounds(mixtures[2], bad)
 
     def test_half_width_stabilizes(self, mixtures):
         hw20 = renyi_bounds(mixtures[2], 20).half_width

@@ -115,6 +115,16 @@ class TestEntropyCommand:
         assert code == 1
         assert "bounds" in err
 
+    @pytest.mark.parametrize("method", ["mc", "is"])
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_exits_one(self, tmp_path, capsys, method, alpha):
+        cfg = write_config(tmp_path, CASE1)
+        code, out, err = run_cli(capsys, "entropy", cfg, "--alpha", alpha, "--method", method,
+                                 "--samples", "1000")
+        assert code == 1
+        assert out == ""
+        assert "alpha must be finite" in err
+
     def test_importance_sampling_runs(self, tmp_path, capsys):
         cfg = write_config(tmp_path, CASE1)
         code, out, _ = run_cli(capsys, "entropy", cfg, "--alpha", "2", "--method", "is",

@@ -96,8 +96,11 @@ class TestMcRenyi:
         assert above.value + band >= h >= below.value - band
 
     def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            mc_renyi(gauss_logpdf, gauss_sampler, 1.0, 100, 0)
+        for bad in (1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                mc_renyi(gauss_logpdf, gauss_sampler, bad, 100, 0)
+            with pytest.raises(ValueError):
+                is_renyi(gauss_logpdf, gauss_logpdf, gauss_sampler, bad, 100, 0)
 
 
 class TestDeterminism:
