@@ -312,10 +312,10 @@ def renyi_large_alpha_approx(
     exp(((1-alpha)/alpha) k_i R_{k_i}(component i)) with gamma_i = k_i /
     alpha; the exponents carry the Holder structure of the lower-bound
     chain while each part contributes its own order-k_i entropy, with the
-    Shannon entropy standing in at k_i = 1. Among the candidate readings
-    of this combinator, this is the one that both collapses to the
-    component entropy at m = 1 and approaches the mixture's Monte Carlo
-    entropy as the order grows.
+    Shannon entropy standing in at k_i = 1. It collapses to the component
+    entropy at m = 1. It is an approximation, not a bound: on the bundled
+    d = 1 mixtures with m = 2-4 it lies below the multinomial-Holder lower
+    bound at orders 10-30.
     """
     alpha = _check_alpha_int(alpha)
     n = m.n_components
@@ -337,7 +337,9 @@ def renyi_large_alpha_approx(
     logw = np.array([math.log(w) if w > 0.0 else -math.inf for w in m.weights])
     terms = []
     skipped = 0
-    for comp in enumerate_compositions(n, alpha - n, cap):
+    # parts shifted down by one; at alpha = m only the all-ones composition exists
+    shifted = enumerate_compositions(n, alpha - n, cap) if alpha > n else [Composition((0,) * n, 1)]
+    for comp in shifted:
         ks = [k + 1 for k in comp.parts]  # strictly positive parts
         acc = 0.0
         try:

@@ -279,6 +279,16 @@ class TestLargeAlphaApprox:
         with pytest.raises(ValueError, match="at least the component count"):
             renyi_large_alpha_approx(mixtures[3], 2)
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_order_equal_to_component_count(self, m):
+        # only the all-ones composition: every part is a component Shannon entropy
+        mix = tables.mixture_d1(m)
+        terms = [
+            math.log(m) + math.log(w) + (1.0 - m) / m * skewt_shannon(c)
+            for c, w in zip(mix.components, mix.weights)
+        ]
+        assert renyi_large_alpha_approx(mix, m) == pytest.approx(sum(terms) / (1.0 - m), rel=1e-12)
+
     def test_identical_components_merge(self, case1):
         mix = make_mixture([case1, case1], [0.5, 0.5])
         # the approximation approaches the shared component value as the order grows
