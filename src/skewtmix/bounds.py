@@ -6,8 +6,9 @@ for integer order pair a telescoping upper combinator with a
 multinomial-Holder lower bound. That bound is the multinomial expansion
 of (sum w_i ||f_i||_alpha)^alpha, which by the multinomial theorem is
 evaluated in closed form as one log-sum over the components, so no
-composition is enumerated; the composition cap applies only to
-``enumerate_compositions`` and the large-order approximation.
+composition is enumerated. The composition cap belongs to
+``enumerate_compositions``; the large-order approximation, its only
+caller here, uses the default ``DEFAULT_COMPOSITION_CAP``.
 
 Two conventions are exposed for the Shannon bounds:
 
@@ -43,7 +44,6 @@ multinomial-Holder lower bound, which is valid everywhere: by Minkowski,
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -304,7 +304,6 @@ def renyi_large_alpha_approx(
     m: MixtureParams,
     alpha,
     quad: QuadratureSpec | None = None,
-    cap: int = DEFAULT_COMPOSITION_CAP,
 ) -> float:
     """Large-order approximation over strictly positive compositions.
 
@@ -315,7 +314,9 @@ def renyi_large_alpha_approx(
     Shannon entropy standing in at k_i = 1. It collapses to the component
     entropy at m = 1. It is an approximation, not a bound: on the bundled
     d = 1 mixtures with m = 2-4 it lies below the multinomial-Holder lower
-    bound at orders 10-30.
+    bound at orders 10-30. An order with more than ``DEFAULT_COMPOSITION_CAP``
+    compositions raises ``CompositionCapError``, and a component whose
+    entropy cannot be evaluated raises that component's own error.
     """
     alpha = _check_alpha_int(alpha)
     n = m.n_components
@@ -336,29 +337,16 @@ def renyi_large_alpha_approx(
     ratio = (1.0 - alpha) / alpha
     logw = np.array([math.log(w) if w > 0.0 else -math.inf for w in m.weights])
     terms = []
-    skipped = 0
     # parts shifted down by one; at alpha = m only the all-ones composition exists
-    shifted = enumerate_compositions(n, alpha - n, cap) if alpha > n else [Composition((0,) * n, 1)]
+    shifted = enumerate_compositions(n, alpha - n) if alpha > n else [Composition((0,) * n, 1)]
     for comp in shifted:
         ks = [k + 1 for k in comp.parts]  # strictly positive parts
         acc = 0.0
-        try:
-            for i, k in enumerate(ks):
-                if logw[i] == -math.inf:
-                    acc = -math.inf
-                    break
-                gamma_i = k / alpha
-                acc += -k * math.log(gamma_i) + k * logw[i] + ratio * k * component_entropy(i, k)
-        except ValueError:
-            skipped += 1
-            continue
+        for i, k in enumerate(ks):
+            if logw[i] == -math.inf:
+                acc = -math.inf
+                break
+            gamma_i = k / alpha
+            acc += -k * math.log(gamma_i) + k * logw[i] + ratio * k * component_entropy(i, k)
         terms.append(acc)
-    if skipped:
-        warnings.warn(
-            f"{skipped} composition term(s) skipped: component entropy undefined there",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if not terms:
-        raise ArithmeticError("no admissible composition terms")
     return _logsumexp(np.array(terms)) / (1.0 - alpha)

@@ -1,7 +1,9 @@
 """Command line front end: entropy, bounds, and reproduce subcommands.
 
-Exit codes: 0 on success, 1 on validation or domain errors, 2 when a
-reproduction run's pass rate over scored cells drops below the threshold.
+Exit codes: 0 on success; 1 on validation or domain errors, among them
+``--threads`` below 1, a negative or NaN ``--tolerance`` and a malformed
+``--rows`` filter; 2 when a reproduction run's pass rate over scored
+cells drops below the threshold, or on an argparse usage error.
 """
 
 from __future__ import annotations
@@ -10,21 +12,23 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import tables
 from .bounds import renyi_bounds, shannon_bounds
 from .config import DEFAULT_SAMPLES, DEFAULT_SEED, ConfigError, load_config
 from .distributions import mixture_logpdf, sample_mixture
-from .entropy import mt_renyi, mt_shannon, skewt_renyi, skewt_shannon
+from .entropy import skewt_renyi, skewt_shannon
 from .mc import fat_proposal, is_renyi, mc_renyi, mc_shannon
 from .reports import ReportRow, rows_to_csv, rows_to_json
 
 PASS_RATE_THRESHOLD = 0.9
 
 
-def _auto_threads() -> int:
-    return min(4, os.cpu_count() or 1)
+def _threads(args) -> int:
+    if args.threads == "auto":
+        return min(4, os.cpu_count() or 1)
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1 or 'auto', got {args.threads}")
+    return args.threads
 
 
 def _emit(rows, fmt: str, out_file: str | None) -> None:
@@ -46,99 +50,87 @@ def _parse_alpha(raw: str):
 
 
 def _load_run(args):
-    """Config, mixture, seed, samples, threads, (d, m, dofs) and orders of a config command."""
+    """Config, seed, samples, threads and orders of a config command."""
     cfg = load_config(args.config)
-    mixture = cfg.mixture
     seed = args.seed if args.seed is not None else cfg.seed
     samples = args.samples if args.samples is not None else cfg.samples
-    threads = args.threads if args.threads != "auto" else _auto_threads()
-    meta = mixture.dim, mixture.n_components, tuple(c.dof for c in mixture.components)
     alphas = [_parse_alpha(a) for a in (args.alpha or ["shannon"])]
-    return cfg, mixture, seed, samples, threads, meta, alphas
+    return cfg, seed, samples, _threads(args), alphas
+
+
+def _row(case, components, alpha, **cells) -> ReportRow:
+    """A report row whose d, m and dofs describe the given components."""
+    return ReportRow(
+        case=case, d=components[0].dim, m=len(components),
+        dofs=tuple(c.dof for c in components), alpha=alpha, **cells,
+    )
+
+
+def _oracle(mixture, alpha, samples, seed, threads):
+    """Monte Carlo estimate of the mixture's Shannon (alpha "shannon") or Renyi entropy."""
+    logpdf = lambda x: mixture_logpdf(mixture, x)  # noqa: E731
+    sampler = lambda n, s: sample_mixture(mixture, n, s)  # noqa: E731
+    if alpha == "shannon":
+        return mc_shannon(logpdf, sampler, samples, seed, threads)
+    return mc_renyi(logpdf, sampler, float(alpha), samples, seed, threads)
+
+
+def _bounds(mixture, alpha, quad, convention):
+    if alpha == "shannon":
+        return shannon_bounds(mixture, quad, convention=convention)
+    return renyi_bounds(mixture, alpha, quad, convention=convention)
+
+
+def _bounds_row(case, mixture, report, est, **cells) -> ReportRow:
+    """A row carrying a bounds report and, when est is given, its Monte Carlo oracle."""
+    return _row(
+        case, mixture.components, report.alpha, lower=report.lower, upper=report.upper,
+        approx=report.approx, half_width=report.half_width,
+        oracle=est.value if est else None, oracle_se=est.std_error if est else None, **cells,
+    )
 
 
 def _cmd_entropy(args) -> int:
-    cfg, mixture, seed, samples, threads, (d, m, dofs), alphas = _load_run(args)
-
-    logpdf = lambda x: mixture_logpdf(mixture, x)  # noqa: E731
-    sampler = lambda n, s: sample_mixture(mixture, n, s)  # noqa: E731
-
+    cfg, seed, samples, threads, alphas = _load_run(args)
+    mixture = cfg.mixture
     rows = []
     for alpha in alphas:
         if args.method == "exact":
-            if m != 1:
+            if mixture.n_components != 1:
                 raise ValueError(
                     "exact entropies are defined per component; "
                     "use the bounds command for mixtures"
                 )
             comp = mixture.components[0]
-            value = (
-                skewt_shannon(comp, cfg.quadrature)
-                if alpha == "shannon"
-                else skewt_renyi(comp, alpha, cfg.quadrature)
-            )
-            rows.append(ReportRow(case=args.label, d=d, m=m, dofs=dofs, alpha=alpha, approx=value))
-        elif args.method == "mc":
-            est = (
-                mc_shannon(logpdf, sampler, samples, seed, threads)
-                if alpha == "shannon"
-                else mc_renyi(logpdf, sampler, alpha, samples, seed, threads)
-            )
-            rows.append(
-                ReportRow(
-                    case=args.label, d=d, m=m, dofs=dofs, alpha=alpha,
-                    approx=est.value, oracle=est.value, oracle_se=est.std_error,
-                )
-            )
+            value = (skewt_shannon(comp, cfg.quadrature) if alpha == "shannon"
+                     else skewt_renyi(comp, alpha, cfg.quadrature))
+            rows.append(_row(args.label, mixture.components, alpha, approx=value))
+            continue
+        if args.method == "mc":
+            est = _oracle(mixture, alpha, samples, seed, threads)
         else:  # importance sampling
             if alpha == "shannon":
                 raise ValueError("importance sampling applies to Renyi orders; use --method mc for shannon")
             proposal = fat_proposal(mixture)
             est = is_renyi(
-                logpdf,
-                lambda x: mixture_logpdf(proposal, x),
-                lambda n, s: sample_mixture(proposal, n, s),
-                alpha,
-                samples,
-                seed,
-                threads,
+                lambda x: mixture_logpdf(mixture, x), lambda x: mixture_logpdf(proposal, x),
+                lambda n, s: sample_mixture(proposal, n, s), alpha, samples, seed, threads,
             )
-            rows.append(
-                ReportRow(
-                    case=args.label, d=d, m=m, dofs=dofs, alpha=alpha,
-                    approx=est.value, oracle=est.value, oracle_se=est.std_error,
-                )
-            )
+        rows.append(
+            _row(args.label, mixture.components, alpha,
+                 approx=est.value, oracle=est.value, oracle_se=est.std_error)
+        )
     _emit(rows, args.out, args.out_file)
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    cfg, mixture, seed, samples, threads, (d, m, dofs), alphas = _load_run(args)
-
+    cfg, seed, samples, threads, alphas = _load_run(args)
     rows = []
     for alpha in alphas:
-        if alpha == "shannon":
-            report = shannon_bounds(mixture, cfg.quadrature, convention=args.convention)
-        else:
-            report = renyi_bounds(mixture, alpha, cfg.quadrature, convention=args.convention)
-        oracle = oracle_se = None
-        if args.oracle:
-            logpdf = lambda x: mixture_logpdf(mixture, x)  # noqa: E731
-            sampler = lambda n, s: sample_mixture(mixture, n, s)  # noqa: E731
-            est = (
-                mc_shannon(logpdf, sampler, samples, seed, threads)
-                if alpha == "shannon"
-                else mc_renyi(logpdf, sampler, alpha, samples, seed, threads)
-            )
-            oracle, oracle_se = est.value, est.std_error
-        rows.append(
-            ReportRow(
-                case=args.label, d=d, m=m, dofs=dofs, alpha=report.alpha,
-                lower=report.lower, upper=report.upper, approx=report.approx,
-                half_width=report.half_width, oracle=oracle, oracle_se=oracle_se,
-            )
-        )
+        report = _bounds(cfg.mixture, alpha, cfg.quadrature, args.convention)
+        est = _oracle(cfg.mixture, alpha, samples, seed, threads) if args.oracle else None
+        rows.append(_bounds_row(args.label, cfg.mixture, report, est))
     _emit(rows, args.out, args.out_file)
     return 0
 
@@ -157,7 +149,10 @@ def _parse_rows_filter(raw: str | None) -> dict:
         key = key.strip()
         if key not in ("d", "m", "v"):
             raise ValueError(f"unknown row filter key {key!r} (use d, m, or v)")
-        out[key] = int(value)
+        try:
+            out[key] = int(value)
+        except ValueError:
+            raise ValueError(f"row filter {key} takes an integer, got {value!r}") from None
     return out
 
 
@@ -165,9 +160,11 @@ def _keep(filters: dict, **attrs) -> bool:
     return all(key not in filters or filters[key] == value for key, value in attrs.items())
 
 
-def _score(computed: float, reference: float, tol: float):
-    diff = abs(computed - reference)
-    return diff, diff <= tol
+def _scored(case, components, alpha, value, ref, tol) -> ReportRow:
+    """A row comparing value with a reference; tol None leaves it unscored."""
+    diff = abs(value - ref)
+    return _row(case, components, alpha, approx=value, reference=ref, abs_diff=diff,
+                passed=None if tol is None else diff <= tol)
 
 
 def _reproduce_table1(filters, tol):
@@ -177,6 +174,7 @@ def _reproduce_table1(filters, tol):
         2: tables.REFERENCE_TABLE1_D2,
         3: tables.REFERENCE_TABLE1_D3,
     }
+    labels = ["shannon"] + [float(a) for a in tables.TABLE1_ALPHAS] + ["inf"]
     for d in (1, 2, 3):
         if not _keep(filters, d=d):
             continue
@@ -184,121 +182,76 @@ def _reproduce_table1(filters, tol):
             if not _keep(filters, v=v):
                 continue
             comp = tables.single_case(d, float(v))
-            refs = reference[d][v]
-            scored = d == 1  # d >= 2 reference rows are informational
-            labels = ["shannon"] + [float(a) for a in tables.TABLE1_ALPHAS] + ["inf"]
-            for label, ref in zip(labels, refs):
+            for label, ref in zip(labels, reference[d][v]):
                 if label == "shannon":
                     value = skewt_shannon(comp)
                 elif label == "inf":
                     value = skewt_renyi(comp, tables.ALPHA_INF_PROXY)
                 else:
                     value = skewt_renyi(comp, label)
-                diff, ok = _score(value, ref, tol)
-                rows.append(
-                    ReportRow(
-                        case="t1", d=d, m=1, dofs=(float(v),), alpha=label,
-                        approx=value, reference=ref, abs_diff=diff,
-                        passed=ok if scored else None,
-                    )
-                )
+                # d >= 2 reference rows are informational
+                rows.append(_scored("t1", (comp,), label, value, ref, tol if d == 1 else None))
     return rows
 
 
-def _property_rows(case, mixture, alpha, report, est, d, m):
-    inside = (report.lower - 3 * est.std_error <= est.value <= report.upper + 3 * est.std_error)
-    ordered = report.lower <= report.upper
-    return ReportRow(
-        case=f"{case}_property", d=d, m=m, dofs=tuple(c.dof for c in mixture.components),
-        alpha=alpha, lower=report.lower, upper=report.upper, approx=report.approx,
-        half_width=report.half_width, oracle=est.value, oracle_se=est.std_error,
-        passed=bool(inside and ordered),
-    )
-
-
-def _reproduce_table2(filters, tol, seed, samples, threads):
+def _reference_rows(case, ms, orders, convention, reference, filters, tol):
+    """Scored d = 1 rows: lower, upper, approx and, where referenced, the half-width."""
     rows = []
-    for m in (2, 3, 4, 5):
+    for m in ms:
         if not _keep(filters, d=1, m=m):
             continue
         mixture = tables.mixture_d1(m)
-        report = shannon_bounds(mixture, convention="paper")
-        ref_lower, ref_upper, ref_mid, _ = tables.REFERENCE_TABLE2_D1[m]
-        for quantity, computed, ref in (
-            ("lower", report.lower, ref_lower),
-            ("upper", report.upper, ref_upper),
-            ("approx", report.approx, ref_mid),
-        ):
-            diff, ok = _score(computed, ref, tol)
-            rows.append(
-                ReportRow(
-                    case=f"t2_{quantity}", d=1, m=m,
-                    dofs=tuple(c.dof for c in mixture.components), alpha="shannon",
-                    approx=computed, reference=ref, abs_diff=diff, passed=ok,
-                )
-            )
-    for d, ms in ((2, (2, 3, 4, 5)), (3, (2, 3))):
-        for m in ms:
-            if not _keep(filters, d=d, m=m):
-                continue
-            mixture = tables.builtin_mixture(f"d{d}_m{m}")
-            report = shannon_bounds(mixture, convention="exact")
-            est = mc_shannon(
-                lambda x, mx=mixture: mixture_logpdf(mx, x),
-                lambda n, s, mx=mixture: sample_mixture(mx, n, s),
-                samples, seed, threads,
-            )
-            rows.append(_property_rows("t2", mixture, "shannon", report, est, d, m))
-    return rows
-
-
-def _reproduce_table3(filters, tol, seed, samples, threads):
-    rows = []
-    for m in (2, 3, 4):
-        if not _keep(filters, d=1, m=m):
-            continue
-        mixture = tables.mixture_d1(m)
-        for alpha in tables.TABLE3_ALPHAS:
-            report = renyi_bounds(mixture, alpha, convention="listed")
-            ref_lower, ref_upper, ref_mid, ref_hw = tables.REFERENCE_TABLE3_D1[(m, alpha)]
-            for quantity, computed, ref, cell_tol in (
-                ("lower", report.lower, ref_lower, tol),
-                ("upper", report.upper, ref_upper, tol),
-                ("approx", report.approx, ref_mid, tol),
-                ("halfwidth", report.half_width, ref_hw, tol / 4.0),
+        for alpha in orders:
+            report = _bounds(mixture, alpha, None, convention)
+            for quantity, computed, ref, cell_tol in zip(
+                ("lower", "upper", "approx", "halfwidth"),
+                (report.lower, report.upper, report.approx, report.half_width),
+                reference(m, alpha),
+                (tol, tol, tol, tol / 4.0),
             ):
-                diff, ok = _score(computed, ref, cell_tol)
-                rows.append(
-                    ReportRow(
-                        case=f"t3_{quantity}", d=1, m=m,
-                        dofs=tuple(c.dof for c in mixture.components), alpha=float(alpha),
-                        approx=computed, reference=ref, abs_diff=diff, passed=ok,
-                    )
-                )
-    for d, ms in ((2, (2, 3)), (3, (2,))):
+                rows.append(_scored(f"{case}_{quantity}", mixture.components, report.alpha,
+                                    computed, ref, cell_tol))
+    return rows
+
+
+def _property_rows(case, shapes, orders, filters, seed, samples, threads):
+    """Rows for d >= 2 mixtures: exact bounds must be ordered and hold the oracle within 3 SE."""
+    rows = []
+    for d, ms in shapes:
         for m in ms:
             if not _keep(filters, d=d, m=m):
                 continue
             mixture = tables.builtin_mixture(f"d{d}_m{m}")
-            draws_logpdf = lambda x, mx=mixture: mixture_logpdf(mx, x)  # noqa: E731
-            sampler = lambda n, s, mx=mixture: sample_mixture(mx, n, s)  # noqa: E731
-            for alpha in (2, 5):
-                report = renyi_bounds(mixture, alpha, convention="exact")
-                est = mc_renyi(draws_logpdf, sampler, float(alpha), samples, seed, threads)
-                rows.append(_property_rows("t3", mixture, float(alpha), report, est, d, m))
+            for alpha in orders:
+                report = _bounds(mixture, alpha, None, "exact")
+                est = _oracle(mixture, alpha, samples, seed, threads)
+                inside = (report.lower - 3 * est.std_error <= est.value
+                          <= report.upper + 3 * est.std_error)
+                ordered = report.lower <= report.upper
+                rows.append(_bounds_row(f"{case}_property", mixture, report, est,
+                                        passed=bool(inside and ordered)))
     return rows
 
 
 def _cmd_reproduce(args) -> int:
     filters = _parse_rows_filter(args.rows)
     tol = args.tolerance
-    threads = args.threads if args.threads != "auto" else _auto_threads()
+    if not tol >= 0.0:
+        raise ValueError(f"--tolerance must be a nonnegative number, got {tol}")
+    threads = _threads(args)
     if args.table == 1:
         rows = _reproduce_table1(filters, tol)
     elif args.table == 2:
-        rows = _reproduce_table2(filters, tol, args.seed, args.samples, threads)
+        # the fourth reference entry, the half-width, is not scored for table 2
+        rows = _reference_rows("t2", (2, 3, 4, 5), ("shannon",), "paper",
+                               lambda m, _: tables.REFERENCE_TABLE2_D1[m][:3], filters, tol)
+        rows += _property_rows("t2", ((2, (2, 3, 4, 5)), (3, (2, 3))), ("shannon",),
+                               filters, args.seed, args.samples, threads)
     elif args.table == 3:
-        rows = _reproduce_table3(filters, tol, args.seed, args.samples, threads)
+        rows = _reference_rows("t3", (2, 3, 4), tables.TABLE3_ALPHAS, "listed",
+                               lambda m, a: tables.REFERENCE_TABLE3_D1[(m, a)], filters, tol)
+        rows += _property_rows("t3", ((2, (2, 3)), (3, (2,))), (2, 5),
+                               filters, args.seed, args.samples, threads)
     else:
         raise ValueError(f"unknown table id {args.table}; expected 1, 2 or 3")
     if not rows:

@@ -2,8 +2,12 @@
 
 All functions accept floats or numpy arrays and are evaluated elementwise;
 scalar input gives a ``float``. They are thin wrappers over ``math.lgamma``
-and ``scipy.special``. Plain floats are validated with ``math`` checks so
-that quadrature integrands, which call these in tight loops, stay cheap.
+and ``scipy.special``. Plain floats are validated with ``math`` checks and
+skip numpy. The quadrature integrands pass arrays; the scalar calls come
+from the closed-form entropy constants, about 11 ``log_gamma`` calls per
+component entropy and 50 per mixture bounds report, where a numpy round
+trip would add several microseconds to each call of a sub-millisecond
+request.
 
 Domain violations and NaN inputs raise ``ValueError``; they are never
 propagated silently.

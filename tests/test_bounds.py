@@ -299,6 +299,13 @@ class TestLargeAlphaApprox:
         assert all(x > y for x, y in zip(diffs, diffs[1:]))
         assert diffs[2] <= 0.05
 
+    def test_broken_component_raises_its_own_error(self, case1):
+        # delta'S^-1 delta overflows, so every term needs an entropy that cannot be evaluated
+        broken = make_component([0.0], [[1.0]], [1e200], 3.0)
+        mix = make_mixture([case1, broken], [0.5, 0.5])
+        with pytest.raises(ValueError, match="shape standardization failed"):
+            renyi_large_alpha_approx(mix, 4)
+
     def test_within_widened_bounds(self, mixtures):
         alpha = 20
         lo = renyi_lower(mixtures[2], alpha)

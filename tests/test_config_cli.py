@@ -5,8 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from skewtmix import tables
+from skewtmix.bounds import renyi_bounds, shannon_bounds
 from skewtmix.cli import main
 from skewtmix.config import ConfigError, parse_config
+from skewtmix.distributions import mixture_logpdf, sample_mixture
+from skewtmix.mc import fat_proposal, is_renyi, mc_renyi, mc_shannon
 from skewtmix.reports import ReportRow, rows_from_json, rows_to_csv, rows_to_json
 
 CASE1 = {
@@ -36,6 +40,19 @@ def run_cli(capsys, *argv):
 
 def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+def oracle_calls(mixture):
+    return lambda x: mixture_logpdf(mixture, x), lambda n, s: sample_mixture(mixture, n, s)
+
+
+def bounds_row(case, mixture, report, est, passed=None):
+    return ReportRow(
+        case=case, d=mixture.dim, m=mixture.n_components,
+        dofs=tuple(c.dof for c in mixture.components), alpha=report.alpha,
+        lower=report.lower, upper=report.upper, approx=report.approx,
+        half_width=report.half_width, oracle=est.value, oracle_se=est.std_error, passed=passed,
+    )
 
 
 class TestConfig:
@@ -133,6 +150,21 @@ class TestEntropyCommand:
         row = parse_csv(out)[0]
         assert abs(float(row["approx"]) - 1.6571) <= 0.05
 
+    def test_importance_sampling_matches_library(self, tmp_path, capsys):
+        mixture = parse_config(MIX_M2).mixture
+        cfg = write_config(tmp_path, MIX_M2)
+        code, out, _ = run_cli(capsys, "entropy", cfg, "--alpha", "2", "--method", "is",
+                               "--samples", "20000", "--seed", "5", "--threads", "1",
+                               "--out", "json")
+        assert code == 0
+        proposal = fat_proposal(mixture)
+        est = is_renyi(lambda x: mixture_logpdf(mixture, x), *oracle_calls(proposal),
+                       2.0, 20000, 5, 1)
+        assert rows_from_json(out) == [ReportRow(
+            case="config", d=1, m=2, dofs=(3.0, 3.0), alpha=2.0,
+            approx=est.value, oracle=est.value, oracle_se=est.std_error,
+        )]
+
 
 class TestBoundsCommand:
     def test_shannon_reference(self, tmp_path, capsys):
@@ -165,6 +197,23 @@ class TestBoundsCommand:
         row = parse_csv(out)[0]
         oracle = float(row["oracle"])
         assert float(row["lower"]) - 0.05 <= oracle <= float(row["upper"]) + 0.05
+
+    def test_oracle_matches_library(self, tmp_path, capsys):
+        parsed = parse_config(MIX_M2)
+        mixture, quad = parsed.mixture, parsed.quadrature
+        cfg = write_config(tmp_path, MIX_M2)
+        code, out, _ = run_cli(capsys, "bounds", cfg, "--alpha", "shannon", "--alpha", "2",
+                               "--oracle", "--convention", "exact", "--samples", "20000",
+                               "--seed", "3", "--threads", "1", "--out", "json")
+        assert code == 0
+        calls = oracle_calls(mixture)
+        expected = [
+            bounds_row("config", mixture, shannon_bounds(mixture, quad, convention="exact"),
+                       mc_shannon(*calls, 20000, 3, 1)),
+            bounds_row("config", mixture, renyi_bounds(mixture, 2, quad, convention="exact"),
+                       mc_renyi(*calls, 2.0, 20000, 3, 1)),
+        ]
+        assert rows_from_json(out) == expected
 
     def test_renyi_convention(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MIX_M2)
@@ -213,11 +262,51 @@ class TestReproduceCommand:
         assert all(r["reference"] == "" for r in rows)
         assert all(r["oracle"] for r in rows)
 
+    def test_table3_property_rows_match_library(self, capsys):
+        code, out, _ = run_cli(capsys, "reproduce", "--table", "3", "--rows", "d=3",
+                               "--samples", "131072", "--seed", "8", "--threads", "2",
+                               "--out", "json")
+        mixture = tables.builtin_mixture("d3_m2")
+        expected = []
+        for alpha in (2, 5):
+            report = renyi_bounds(mixture, alpha, convention="exact")
+            est = mc_renyi(*oracle_calls(mixture), float(alpha), 131072, 8, 2)
+            inside = report.lower - 3 * est.std_error <= est.value <= report.upper + 3 * est.std_error
+            passed = bool(inside and report.lower <= report.upper)
+            expected.append(bounds_row("t3_property", mixture, report, est, passed=passed))
+        assert rows_from_json(out) == expected
+        assert code == 0
+
     def test_unknown_table(self, capsys):
         code, _, err = run_cli(capsys, "reproduce", "--table", "9")
         assert code != 0
 
     def test_bad_filter(self, capsys):
-        code, _, err = run_cli(capsys, "reproduce", "--table", "1", "--rows", "q=3")
+        for rows in ("q=3", "d=x", "v=4.5"):
+            code, out, err = run_cli(capsys, "reproduce", "--table", "1", "--rows", rows)
+            assert code == 1
+            assert out == ""
+            assert "row filter" in err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1"])
+    def test_bad_tolerance(self, capsys, tolerance):
+        code, out, err = run_cli(capsys, "reproduce", "--table", "1", "--rows", "d=1,v=3",
+                                 "--tolerance", tolerance)
         assert code == 1
-        assert "row filter" in err
+        assert out == ""
+        assert "--tolerance must be a nonnegative number" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command", ["entropy", "bounds", "reproduce"])
+def test_threads_below_one_exits_one(tmp_path, capsys, command, threads):
+    cfg = write_config(tmp_path, MIX_M2)
+    argv = {
+        "entropy": ["entropy", cfg, "--method", "mc"],
+        "bounds": ["bounds", cfg, "--oracle"],
+        "reproduce": ["reproduce", "--table", "2"],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, "--samples", "1000", "--threads", threads)
+    assert code == 1
+    assert out == ""
+    assert "--threads must be at least 1" in err
