@@ -1,9 +1,10 @@
 """Command line front end: entropy, bounds, and reproduce subcommands.
 
 Exit codes: 0 on success; 1 on validation or domain errors, among them
-``--threads`` below 1, a negative or NaN ``--tolerance`` and a malformed
-``--rows`` filter; 2 when a reproduction run's pass rate over scored
-cells drops below the threshold, or on an argparse usage error.
+``--threads`` below 1, ``--samples`` below 2 (the config file's rule), a
+negative or NaN ``--tolerance`` and a malformed ``--rows`` filter; 2 when
+a reproduction run's pass rate over scored cells drops below the
+threshold, or on an argparse usage error.
 """
 
 from __future__ import annotations
@@ -31,6 +32,12 @@ def _threads(args) -> int:
     return args.threads
 
 
+def _samples(samples: int) -> int:
+    if samples < 2:
+        raise ValueError(f"--samples must be an integer >= 2, got {samples}")
+    return samples
+
+
 def _emit(rows, fmt: str, out_file: str | None) -> None:
     text = rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows)
     if out_file:
@@ -53,7 +60,7 @@ def _load_run(args):
     """Config, seed, samples, threads and orders of a config command."""
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
-    samples = args.samples if args.samples is not None else cfg.samples
+    samples = _samples(args.samples) if args.samples is not None else cfg.samples
     alphas = [_parse_alpha(a) for a in (args.alpha or ["shannon"])]
     return cfg, seed, samples, _threads(args), alphas
 
@@ -239,6 +246,7 @@ def _cmd_reproduce(args) -> int:
     if not tol >= 0.0:
         raise ValueError(f"--tolerance must be a nonnegative number, got {tol}")
     threads = _threads(args)
+    samples = _samples(args.samples)
     if args.table == 1:
         rows = _reproduce_table1(filters, tol)
     elif args.table == 2:
@@ -246,12 +254,12 @@ def _cmd_reproduce(args) -> int:
         rows = _reference_rows("t2", (2, 3, 4, 5), ("shannon",), "paper",
                                lambda m, _: tables.REFERENCE_TABLE2_D1[m][:3], filters, tol)
         rows += _property_rows("t2", ((2, (2, 3, 4, 5)), (3, (2, 3))), ("shannon",),
-                               filters, args.seed, args.samples, threads)
+                               filters, args.seed, samples, threads)
     elif args.table == 3:
         rows = _reference_rows("t3", (2, 3, 4), tables.TABLE3_ALPHAS, "listed",
                                lambda m, a: tables.REFERENCE_TABLE3_D1[(m, a)], filters, tol)
         rows += _property_rows("t3", ((2, (2, 3)), (3, (2,))), (2, 5),
-                               filters, args.seed, args.samples, threads)
+                               filters, args.seed, samples, threads)
     else:
         raise ValueError(f"unknown table id {args.table}; expected 1, 2 or 3")
     if not rows:

@@ -34,7 +34,7 @@ generation agree bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,16 +66,29 @@ _ALLOC_TAG = 0xFFFFFFFF_FFFFFFFF
 
 @dataclass(frozen=True)
 class SkewTParams:
-    """One skew-t component: location, SPD scale, shape vector, dof."""
+    """One skew-t component: location, SPD scale, shape vector, dof.
+
+    ``mu`` and ``delta`` are copied at construction, so a component never
+    changes. What is derived from it is computed on first use and kept on
+    the component in private fields: the shape quantities of
+    ``derive_shape``, S^{-1} delta for the log density, and the converged
+    entropy corrections of the ``entropy`` module. A failed derivation is
+    never kept, so it fails again on every call. Threads that use a
+    component first at the same time may each compute a value; they store
+    equal ones, so no lock is needed.
+    """
 
     mu: np.ndarray
     scale: SpdMatrix
     delta: np.ndarray
     dof: float
+    _shape: DerivedShape | None = field(default=None, init=False, repr=False, compare=False)
+    _sinv_delta: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _corrections: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float).reshape(-1)
-        delta = np.asarray(self.delta, dtype=float).reshape(-1)
+        mu = np.array(self.mu, dtype=float).reshape(-1)
+        delta = np.array(self.delta, dtype=float).reshape(-1)
         scale = self.scale if isinstance(self.scale, SpdMatrix) else SpdMatrix(self.scale)
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(delta))):
             raise ValueError("mu and delta must be finite")
@@ -110,19 +123,34 @@ class DerivedShape:
     dd: float
 
 
-def derive_shape(p: SkewTParams) -> DerivedShape:
-    """Derived shape quantities for a component; delta = 0 gives all zeros."""
+def _standardize(p: SkewTParams) -> DerivedShape:
     if not np.any(p.delta):
-        return DerivedShape(delta_hat=np.zeros(p.dim), dd=0.0)
-    dd = float(quad_form(p.scale, p.delta))
-    if not np.isfinite(dd) or dd < 0.0:
-        raise ValueError(f"shape standardization failed: delta'S^-1 delta = {dd}")
-    return DerivedShape(delta_hat=p.delta / math.sqrt(1.0 + dd), dd=dd)
+        delta_hat, dd = np.zeros(p.dim), 0.0
+    else:
+        # An overflowing dd is rejected below, not reported by numpy.
+        with np.errstate(over="ignore"):
+            dd = float(quad_form(p.scale, p.delta))
+        if not np.isfinite(dd) or dd < 0.0:
+            raise ValueError(f"shape standardization failed: delta'S^-1 delta = {dd}")
+        delta_hat = p.delta / math.sqrt(1.0 + dd)
+    delta_hat.setflags(write=False)
+    return DerivedShape(delta_hat=delta_hat, dd=dd)
+
+
+def derive_shape(p: SkewTParams) -> DerivedShape:
+    """Derived shape quantities for a component; delta = 0 gives all zeros.
+
+    Computed on the first call and kept on the component; a shape that
+    cannot be standardized raises ``ValueError`` on every call.
+    """
+    if p._shape is None:
+        object.__setattr__(p, "_shape", _standardize(p))
+    return p._shape
 
 
 @dataclass(frozen=True)
 class MixtureParams:
-    """Finite mixture: components sharing a dimension, simplex weights."""
+    """Finite mixture: components sharing a dimension, simplex weights (copied)."""
 
     components: tuple
     weights: np.ndarray
@@ -136,7 +164,7 @@ class MixtureParams:
         d = comps[0].dim
         if any(c.dim != d for c in comps):
             raise ValueError("all components must share the same dimension")
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
+        w = np.array(self.weights, dtype=float).reshape(-1)
         if w.shape[0] != len(comps):
             raise ValueError(f"{len(comps)} components but {w.shape[0]} weights")
         if np.any(w < 0.0) or not np.all(np.isfinite(w)):
@@ -194,7 +222,9 @@ def skewt_logpdf(p: SkewTParams, x) -> float | np.ndarray:
     out = _mt_log_density(p, q)
     if np.any(p.delta):
         v, d = p.dof, p.dim
-        lin = (x - p.mu) @ solve(p.scale, p.delta)
+        if p._sinv_delta is None:
+            object.__setattr__(p, "_sinv_delta", solve(p.scale, p.delta))
+        lin = (x - p.mu) @ p._sinv_delta
         arg = lin * np.sqrt((v + d) / (v + q))
         out = math.log(2.0) + out + np.log(specfn.student_t_cdf(arg, v + d))
     return float(out) if np.ndim(out) == 0 else out

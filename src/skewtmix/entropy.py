@@ -6,6 +6,13 @@ a Student t weight, evaluated on arrays by a nested double-exponential
 rule, with a Monte Carlo fallback if the Shannon correction's rule does
 not converge.
 
+A converged correction is kept on its component, keyed by the order (or
+Shannon), the ``QuadratureSpec`` and the variant, and later calls with the
+same key reuse it. Order validation, the large-order warning and the
+closed-form part run on every call; a rule that did not converge, its
+warning and the Monte Carlo fallback are never kept, so they recur on
+every call.
+
 Two printed-formula ambiguities were resolved against an independent
 Monte Carlo oracle and frozen (see the test suite's resolution gate):
 
@@ -220,6 +227,9 @@ def skew_correction(
     dd = derive_shape(p).dd
     if dd == 0.0:
         return 0.0
+    key = ("shannon", spec, variant)
+    if key in p._corrections:
+        return p._corrections[key]
     v, d = p.dof, p.dim
     w = v + d - 1.0
     s = math.sqrt((v + d) * dd)
@@ -233,6 +243,7 @@ def skew_correction(
 
     rule = _sinh_sinh(lambda y: np.exp(specfn.student_t_logpdf(y, w)) * fn(y), 0.0, 1.0, spec)
     if rule.converged:
+        p._corrections[key] = rule.value
         return rule.value
     # Monte Carlo fallback over Y ~ t_w
     rng = np.random.Generator(np.random.Philox(key=np.array([0xE907, 0], dtype=np.uint64)))
@@ -284,6 +295,9 @@ def skewt_renyi(
     dd = derive_shape(p).dd
     if dd == 0.0:
         return base
+    key = (alpha, spec, variant)
+    if key in p._corrections:
+        return base + p._corrections[key] / (1.0 - alpha)
     den = alpha * (v + d) - 1.0
     dof_x = den if variant == "frozen" else alpha * (v + d) - d
     s = math.sqrt((v + d) * dd)
@@ -309,7 +323,9 @@ def skewt_renyi(
     scale = 1.0 / math.sqrt(curvature) if 0.0 < curvature < math.inf else 1.0
 
     rule = _sinh_sinh(log_integrand, float(probe[j]), scale, spec, log=True)
-    if not rule.converged:
+    if rule.converged:
+        p._corrections[key] = rule.value
+    else:
         warnings.warn(
             f"order-alpha power expectation did not reach the requested tolerance: "
             f"error estimate {rule.error / abs(1.0 - alpha):.3g} over {rule.points} points",

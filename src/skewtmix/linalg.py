@@ -36,11 +36,14 @@ class SpdMatrix:
 
     Input is symmetrized by averaging with its transpose so that matrices
     round-tripped through text configs stay usable. Positive definiteness
-    is established eagerly through the Cholesky factorization.
+    is established eagerly through the Cholesky factorization; the log
+    determinant is computed from it on first use and kept.
     """
 
     entries: np.ndarray
     dim: int = field(init=False)
+    _chol: np.ndarray = field(init=False, repr=False, compare=False)
+    _logdet: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=float)
@@ -78,9 +81,11 @@ def cholesky(s) -> np.ndarray:
 
 
 def log_det(s) -> float:
-    """Log determinant via the Cholesky diagonal."""
-    l = _as_spd(s).cholesky_factor
-    return float(2.0 * np.sum(np.log(np.diag(l))))
+    """Log determinant via the Cholesky diagonal, kept on the matrix after the first call."""
+    spd = _as_spd(s)
+    if spd._logdet is None:
+        object.__setattr__(spd, "_logdet", float(2.0 * np.sum(np.log(np.diag(spd.cholesky_factor)))))
+    return spd._logdet
 
 
 def _solve_triangular_batch(lower: np.ndarray, b, trans: int) -> np.ndarray:

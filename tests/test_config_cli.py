@@ -310,3 +310,19 @@ def test_threads_below_one_exits_one(tmp_path, capsys, command, threads):
     assert code == 1
     assert out == ""
     assert "--threads must be at least 1" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-5", "1"])
+@pytest.mark.parametrize("command", ["entropy-mc", "entropy-is", "bounds", "reproduce"])
+def test_samples_below_two_exits_one(tmp_path, capsys, command, samples):
+    cfg = write_config(tmp_path, MIX_M2)
+    argv = {
+        "entropy-mc": ["entropy", cfg, "--method", "mc"],
+        "entropy-is": ["entropy", cfg, "--method", "is", "--alpha", "2"],
+        "bounds": ["bounds", cfg, "--oracle", "--alpha", "2"],
+        "reproduce": ["reproduce", "--table", "2"],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, "--samples", samples)
+    assert code == 1
+    assert out == ""
+    assert f"--samples must be an integer >= 2, got {samples}" in err

@@ -1,4 +1,7 @@
 import math
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,6 +23,8 @@ from skewtmix.distributions import (
     skewt_logpdf,
     skewt_mean,
 )
+from skewtmix.entropy import skewt_renyi
+from skewtmix.linalg import SpdMatrix
 
 from conftest import make_component, make_mixture
 
@@ -61,6 +66,16 @@ class TestParams:
         with pytest.raises(ValueError, match="nonnegative"):
             make_mixture([c, c], [1.5, -0.5])
 
+    def test_components_own_their_arrays(self):
+        mu, delta, weights = np.zeros(2), np.array([1.0, 0.5]), np.array([0.25, 0.75])
+        p = SkewTParams(mu=mu, scale=SpdMatrix(np.eye(2)), delta=delta, dof=3.0)
+        mix = MixtureParams(components=(p, p), weights=weights)
+        mu[0], delta[0], weights[:] = 7.0, 3.0, [0.75, 0.25]
+        assert p.mu.tolist() == [0.0, 0.0]
+        assert p.delta.tolist() == [1.0, 0.5]
+        assert derive_shape(p).dd == pytest.approx(1.25, rel=1e-15)
+        assert mix.weights.tolist() == [0.25, 0.75]
+
 
 class TestDerivedShape:
     def test_zero_shape(self, case1):
@@ -74,6 +89,36 @@ class TestDerivedShape:
         sinv = np.linalg.inv(case2.scale.entries)
         assert shape.dd == pytest.approx(case2.delta @ sinv @ case2.delta, rel=1e-12)
         assert np.allclose(shape.delta_hat, case2.delta / math.sqrt(1 + shape.dd))
+
+    def test_kept_on_the_component(self, case2):
+        shape = derive_shape(case2)
+        assert derive_shape(case2) is shape
+        assert not shape.delta_hat.flags.writeable
+
+    def test_overflowing_shape_raises_on_every_call(self):
+        p = make_component([0.0], [[1.0]], [1e200], 3.0)
+        for _ in range(2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="shape standardization failed"):
+                    derive_shape(p)
+
+    def test_concurrent_first_use_agrees(self, case2):
+        def first_use(p, x):
+            return derive_shape(p).dd, skewt_logpdf(p, x), skewt_renyi(p, 3.0)
+
+        x = sample_skewt(case2, 64, 5)
+        want = first_use(make_component(case2.mu, case2.scale.entries, case2.delta, case2.dof), x)
+        p = make_component(case2.mu, case2.scale.entries, case2.delta, case2.dof)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(first_use, p, x) for _ in range(32)]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(dd == want[0] and np.array_equal(lp, want[1]) and r == want[2] for dd, lp, r in got)
 
     def test_normalization_1d(self):
         p = make_component([0.0], [[1.5]], [0.3], 3.0)

@@ -238,3 +238,59 @@ class TestQuadratureFailure:
         error = float(re.search(r"error estimate (\S+) over \d+ points", message).group(1))
         assert error > 0.0
         assert abs(val - skewt_renyi(case1, 2.0)) <= error
+
+
+def fresh(p):
+    """An equal component that has computed nothing yet."""
+    return make_component(p.mu, p.scale.entries, p.delta, p.dof)
+
+
+def no_quadrature(*args, **kwargs):
+    raise AssertionError("the quadrature ran again")
+
+
+KEPT_CALLS = (
+    lambda p: skewt_shannon(p),
+    lambda p: skewt_renyi(p, 3.0),
+    lambda p: skewt_renyi(p, 2.5, variant="printed"),
+)
+
+
+class TestKeptCorrections:
+    """A converged correction is kept on its component; a warning or failure is not."""
+
+    @pytest.mark.parametrize("name", ["case1", "case2", "case3"])
+    def test_second_call_reuses_the_first(self, request, monkeypatch, name):
+        p = fresh(request.getfixturevalue(name))
+        first = [f(p) for f in KEPT_CALLS]
+        assert first == [f(fresh(p)) for f in KEPT_CALLS]
+        monkeypatch.setattr("skewtmix.entropy._sinh_sinh", no_quadrature)
+        assert [f(p) for f in KEPT_CALLS] == first
+
+    def test_starved_calls_warn_every_time_and_keep_nothing(self, case1):
+        p = fresh(case1)
+        for _ in range(2):
+            with pytest.warns(QuadratureWarning, match="Monte Carlo fallback"):
+                skew_correction(p, STARVED)
+            with pytest.warns(QuadratureWarning, match="did not reach the requested tolerance"):
+                skewt_renyi(p, 2.0, STARVED)
+        assert skew_correction(p) == skew_correction(fresh(case1))
+        assert skewt_renyi(p, 2.0) == skewt_renyi(fresh(case1), 2.0)
+
+    def test_large_order_warning_repeats(self, case1):
+        p = fresh(case1)
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning, match="beyond the supported range"):
+                skewt_renyi(p, 2e4)
+
+    @pytest.mark.parametrize("correction", [
+        lambda p, **kw: skew_correction(p, **kw),
+        lambda p, **kw: skewt_renyi(p, 3.0, **kw),
+    ])
+    def test_each_variant_and_spec_keeps_its_own_value(self, case2, correction):
+        loose = QuadratureSpec(abs_tol=1e-4, rel_tol=1e-4)
+        p = fresh(case2)
+        values = [correction(p, variant="frozen"), correction(p, variant="printed"), correction(p, quad=loose)]
+        assert len(set(values)) == 3
+        for kwargs, value in zip(({"variant": "frozen"}, {"variant": "printed"}, {"quad": loose}), values):
+            assert correction(p, **kwargs) == value == correction(fresh(case2), **kwargs)
