@@ -312,41 +312,40 @@ def renyi_large_alpha_approx(
     alpha; the exponents carry the Holder structure of the lower-bound
     chain while each part contributes its own order-k_i entropy, with the
     Shannon entropy standing in at k_i = 1. It collapses to the component
-    entropy at m = 1. It is an approximation, not a bound: on the bundled
-    d = 1 mixtures with m = 2-4 it lies below the multinomial-Holder lower
-    bound at orders 10-30. An order with more than ``DEFAULT_COMPOSITION_CAP``
-    compositions raises ``CompositionCapError``, and a component whose
-    entropy cannot be evaluated raises that component's own error.
+    entropy at m = 1. Components of zero weight are left out, as in the
+    bounds, and m counts only the others. It is an approximation, not a
+    bound: on the bundled d = 1 mixtures with m = 2-4 it lies below the
+    multinomial-Holder lower bound at orders 10-30. An order with more
+    than ``DEFAULT_COMPOSITION_CAP`` compositions raises
+    ``CompositionCapError``, and a component whose entropy cannot be
+    evaluated raises that component's own error.
     """
     alpha = _check_alpha_int(alpha)
-    n = m.n_components
+    live = [(math.log(w), c) for w, c in zip(m.weights, m.components) if w > 0.0]
+    n = len(live)
     if alpha < n:
         raise ValueError(
-            f"alpha must be at least the component count for the large-order form; got alpha={alpha}, m={n}"
+            "alpha must be at least the component count for the large-order form, zero weights "
+            f"not counted; got alpha={alpha}, m={n}"
         )
     entropies: dict = {}
 
     def component_entropy(i: int, k: int) -> float:
         if (i, k) not in entropies:
-            comp = m.components[i]
+            comp = live[i][1]
             entropies[(i, k)] = (
                 skewt_shannon(comp, quad) if k == 1 else skewt_renyi(comp, float(k), quad)
             )
         return entropies[(i, k)]
 
     ratio = (1.0 - alpha) / alpha
-    logw = np.array([math.log(w) if w > 0.0 else -math.inf for w in m.weights])
     terms = []
     # parts shifted down by one; at alpha = m only the all-ones composition exists
     shifted = enumerate_compositions(n, alpha - n) if alpha > n else [Composition((0,) * n, 1)]
     for comp in shifted:
-        ks = [k + 1 for k in comp.parts]  # strictly positive parts
         acc = 0.0
-        for i, k in enumerate(ks):
-            if logw[i] == -math.inf:
-                acc = -math.inf
-                break
-            gamma_i = k / alpha
-            acc += -k * math.log(gamma_i) + k * logw[i] + ratio * k * component_entropy(i, k)
+        for i, part in enumerate(comp.parts):
+            k = part + 1  # strictly positive parts
+            acc += -k * math.log(k / alpha) + k * live[i][0] + ratio * k * component_entropy(i, k)
         terms.append(acc)
     return _logsumexp(np.array(terms)) / (1.0 - alpha)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .distributions import MixtureParams, SkewTParams
 from .entropy import QuadratureSpec
-from .linalg import NotPositiveDefiniteError, SpdMatrix
+from .linalg import SpdMatrix
 
 __all__ = ["ConfigError", "ModelConfig", "load_config", "parse_config"]
 
@@ -84,8 +84,6 @@ def _component(raw, path: str) -> SkewTParams:
     dof = _number(raw["dof"], f"{path}.dof")
     try:
         scale = SpdMatrix(scale_entries)
-    except NotPositiveDefiniteError as exc:
-        raise ConfigError(f"{path}.scale", str(exc)) from exc
     except ValueError as exc:
         raise ConfigError(f"{path}.scale", str(exc)) from exc
     try:

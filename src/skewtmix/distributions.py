@@ -198,15 +198,19 @@ def _mahalanobis(p: SkewTParams, x):
     return x, np.sum(z * z, axis=-1)
 
 
+def _mt_log_norm(v: float, d: int, logdet: float) -> float:
+    """ln of the multivariate t density's normalising constant.
+
+    ln Gamma((v+d)/2) - ln Gamma(v/2) - d/2 ln(v pi) - 1/2 ln|S|; its
+    negation is the closed-form part of the t entropies. dof > 0 keeps the
+    gamma arguments positive.
+    """
+    return math.lgamma((v + d) / 2.0) - (math.lgamma(v / 2.0) + d / 2.0 * math.log(v * math.pi)) - 0.5 * logdet
+
+
 def _mt_log_density(p: SkewTParams, q):
     v, d = p.dof, p.dim
-    return (
-        specfn.log_gamma((v + d) / 2.0)
-        - specfn.log_gamma(v / 2.0)
-        - d / 2.0 * math.log(v * math.pi)
-        - 0.5 * log_det(p.scale)
-        - (v + d) / 2.0 * np.log1p(q / v)
-    )
+    return _mt_log_norm(v, d, log_det(p.scale)) - (v + d) / 2.0 * np.log1p(q / v)
 
 
 def mt_logpdf(p: SkewTParams, x) -> float | np.ndarray:
@@ -248,7 +252,7 @@ def mixture_logpdf(m: MixtureParams, x) -> float | np.ndarray:
 
 def _b_const(v: float) -> float:
     # E|U0| / sqrt(W) factor of the stochastic representation.
-    return math.sqrt(v / math.pi) * math.exp(specfn.log_gamma((v - 1.0) / 2.0) - specfn.log_gamma(v / 2.0))
+    return math.sqrt(v / math.pi) * math.exp(math.lgamma((v - 1.0) / 2.0) - math.lgamma(v / 2.0))
 
 
 def skewt_mean(p: SkewTParams) -> np.ndarray:

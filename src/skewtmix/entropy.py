@@ -34,10 +34,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import xlogy
+from scipy.special import psi, xlogy
 
 from . import specfn
-from .distributions import SkewTParams, derive_shape
+from .distributions import SkewTParams, _mt_log_norm, derive_shape
 from .linalg import log_det
 
 __all__ = [
@@ -137,19 +137,10 @@ def _sinh_sinh(fn, x0: float, scale: float, spec: QuadratureSpec, *, log: bool =
         n *= 2
 
 
-def _entropy_constant(v: float, d: int, logdet: float) -> float:
-    return (
-        specfn.log_gamma(v / 2.0)
-        + d / 2.0 * math.log(v * math.pi)
-        - specfn.log_gamma((v + d) / 2.0)
-        + 0.5 * logdet
-    )
-
-
 def _digamma_term(v: float, d: int, halved: bool) -> float:
     if halved:
-        return (v + d) / 2.0 * (specfn.digamma((v + d) / 2.0) - specfn.digamma(v / 2.0))
-    return (v + d) / 2.0 * (specfn.digamma(v + d) - specfn.digamma(v))
+        return (v + d) / 2.0 * float(psi((v + d) / 2.0) - psi(v / 2.0))
+    return (v + d) / 2.0 * float(psi(v + d) - psi(v))
 
 
 def mt_shannon(p: SkewTParams, *, digamma: str = "halved") -> float:
@@ -162,8 +153,7 @@ def mt_shannon(p: SkewTParams, *, digamma: str = "halved") -> float:
     if digamma not in ("halved", "printed"):
         raise ValueError("digamma must be 'halved' or 'printed'")
     v, d = p.dof, p.dim
-    logdet = log_det(p.scale)
-    return _entropy_constant(v, d, logdet) + _digamma_term(v, d, digamma == "halved")
+    return _digamma_term(v, d, digamma == "halved") - _mt_log_norm(v, d, log_det(p.scale))
 
 
 def _check_renyi_order(v: float, d: int, alpha: float) -> None:
@@ -189,13 +179,12 @@ def power_integral_constant(p: SkewTParams, alpha: float) -> float:
     v, d = p.dof, p.dim
     _check_renyi_order(v, d, alpha)
     u = alpha * (v + d) - d
-    logdet = log_det(p.scale)
     return (
-        (1.0 - alpha) * _entropy_constant(v, d, logdet)
-        + specfn.log_gamma((v + d) / 2.0)
-        + specfn.log_gamma(u / 2.0)
-        - specfn.log_gamma(v / 2.0)
-        - specfn.log_gamma(alpha * (v + d) / 2.0)
+        (alpha - 1.0) * _mt_log_norm(v, d, log_det(p.scale))
+        + math.lgamma((v + d) / 2.0)
+        + math.lgamma(u / 2.0)
+        - math.lgamma(v / 2.0)
+        - math.lgamma(alpha * (v + d) / 2.0)
     )
 
 

@@ -299,6 +299,14 @@ class TestLargeAlphaApprox:
         assert all(x > y for x, y in zip(diffs, diffs[1:]))
         assert diffs[2] <= 0.05
 
+    @pytest.mark.parametrize("alpha", [2, 3, 5])
+    def test_zero_weight_component_left_out(self, alpha):
+        mix = tables.mixture_d1(3)
+        zero = make_mixture(mix.components, [0.6, 0.0, 0.4])
+        kept = make_mixture([mix.components[0], mix.components[2]], [0.6, 0.4])
+        value = renyi_large_alpha_approx(zero, alpha)
+        assert value == pytest.approx(renyi_large_alpha_approx(kept, alpha), rel=1e-12)
+
     def test_broken_component_raises_its_own_error(self, case1):
         # delta'S^-1 delta overflows, so every term needs an entropy that cannot be evaluated
         broken = make_component([0.0], [[1.0]], [1e200], 3.0)
@@ -312,6 +320,15 @@ class TestLargeAlphaApprox:
         hi = renyi_upper(mixtures[2], alpha)
         val = renyi_large_alpha_approx(mixtures[2], alpha)
         assert lo - 0.05 <= val <= hi + 0.05
+
+
+def test_bounds_return_float(mixtures):
+    mix = mixtures[3]
+    reports = [shannon_bounds(mix, convention=c) for c in ("paper", "exact")]
+    reports += [renyi_bounds(mix, 3, convention=c) for c in ("paper", "exact", "listed")]
+    values = [v for r in reports for v in (r.lower, r.upper, r.approx, r.half_width, *r.per_component)]
+    values += [renyi_lower(mix, 3), renyi_upper(mix, 3), renyi_large_alpha_approx(mix, 3)]
+    assert all(type(v) is float for v in values), [type(v) for v in values]
 
 
 class TestMtConsistency:

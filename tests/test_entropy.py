@@ -203,6 +203,22 @@ class TestInvariants:
         assert abs(skewt_shannon(near) - skewt_shannon(far)) <= 0.01
         assert abs(skewt_renyi(near, 2.0) - skewt_renyi(far, 2.0)) <= 0.01
 
+    @pytest.mark.parametrize("name", ["case1", "case2", "case3"])
+    def test_public_entropies_return_float(self, request, name):
+        p = request.getfixturevalue(name)
+        flat = make_component(p.mu, p.scale.entries, np.zeros(p.dim), p.dof)
+        for comp in (p, flat):
+            values = [
+                mt_shannon(comp),
+                mt_shannon(comp, digamma="printed"),
+                mt_renyi(comp, 2.0),
+                power_integral_constant(comp, 2.0),
+                skewt_shannon(comp),
+                skewt_renyi(comp, 2.0),
+                skewt_renyi(comp, 0.7, variant="printed"),
+            ]
+            assert all(type(v) is float for v in values), [type(v) for v in values]
+
     def test_quadrature_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(abs_tol=-1.0)

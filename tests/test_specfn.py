@@ -38,8 +38,9 @@ class TestLogGamma:
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_domain(self, bad):
-        with pytest.raises(ValueError):
-            specfn.log_gamma(bad)
+        for x in (bad, np.array(bad), np.array([1.0, bad])):
+            with pytest.raises(ValueError):
+                specfn.log_gamma(x)
 
 
 class TestDigamma:
@@ -59,8 +60,9 @@ class TestDigamma:
 
     @pytest.mark.parametrize("bad", [0.0, -3.0, float("nan")])
     def test_domain(self, bad):
-        with pytest.raises(ValueError):
-            specfn.digamma(bad)
+        for x in (bad, np.array(bad), np.array([1.0, bad])):
+            with pytest.raises(ValueError):
+                specfn.digamma(x)
 
 
 class TestLogBeta:
@@ -77,6 +79,10 @@ class TestLogBeta:
             specfn.log_beta(a, b)
         with pytest.raises(ValueError):
             specfn.log_beta(np.array([a, 1.0]), b)
+        with pytest.raises(ValueError):
+            specfn.log_beta(np.array(a), np.array(b))
+        with pytest.raises(ValueError):
+            specfn.log_beta(np.array([1.0, a]), np.array([1.0, b]))
 
 
 class TestRegIncBeta:
@@ -112,10 +118,14 @@ class TestRegIncBeta:
         assert np.all(np.diff(vals) >= -1e-15)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            specfn.reg_inc_beta(-1.0, 2.0, 0.5)
-        with pytest.raises(ValueError):
-            specfn.reg_inc_beta(1.0, 2.0, 1.5)
+        for a, b, x in [(-1.0, 2.0, 0.5), (1.0, 2.0, 1.5), (1.0, 0.0, 0.5), (1.0, 2.0, -0.1),
+                        (1.0, 2.0, float("nan"))]:
+            with pytest.raises(ValueError):
+                specfn.reg_inc_beta(a, b, x)
+            with pytest.raises(ValueError):
+                specfn.reg_inc_beta(np.array(a), np.array(b), np.array(x))
+            with pytest.raises(ValueError):
+                specfn.reg_inc_beta(np.array([1.0, a]), np.array([2.0, b]), np.array([0.5, x]))
 
 
 class TestStudentT:
@@ -160,7 +170,28 @@ class TestStudentT:
             assert ours == pytest.approx(normal, abs=1e-4)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            specfn.student_t_cdf(0.0, -1.0)
-        with pytest.raises(ValueError):
-            specfn.student_t_logpdf(0.0, 0.0)
+        for fn in (specfn.student_t_cdf, specfn.student_t_logpdf):
+            for x, v in [(0.0, -1.0), (0.0, 0.0), (float("nan"), 3.0), (0.0, float("inf"))]:
+                for args in ((x, v), (np.array(x), np.array(v)), (np.array([0.5, x]), np.array([3.0, v]))):
+                    with pytest.raises(ValueError):
+                        fn(*args)
+
+
+ARGS = [
+    (specfn.log_gamma, (2.5,)),
+    (specfn.digamma, (2.5,)),
+    (specfn.log_beta, (2.5, 0.7)),
+    (specfn.reg_inc_beta, (2.5, 0.7, 0.3)),
+    (specfn.student_t_cdf, (-1.3, 4.5)),
+    (specfn.student_t_logpdf, (-1.3, 4.5)),
+]
+
+
+@pytest.mark.parametrize("fn, args", ARGS, ids=[fn.__name__ for fn, _ in ARGS])
+def test_scalar_0d_and_one_element_agree(fn, args):
+    scalar = fn(*args)
+    zero_d = fn(*map(np.array, args))
+    one = fn(*(np.array([a]) for a in args))
+    assert type(scalar) is float and type(zero_d) is float
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
+    assert scalar == zero_d == one[0]
