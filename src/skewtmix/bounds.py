@@ -216,20 +216,29 @@ def renyi_lower(m: MixtureParams, alpha, quad: QuadratureSpec | None = None) -> 
     return _renyi_lower_from(m, alpha, _component_renyi(m, alpha, quad))
 
 
-def _renyi_upper_from(m: MixtureParams, alpha: int, rs) -> float:
-    log_i = np.array([(1.0 - alpha) * r for r in rs])
-    order = np.argsort(-log_i, kind="stable")
-    li = log_i[order]
-    eps = np.asarray(m.weights)[order]
-    terms = [li[-1]]
+def _telescoped(m: MixtureParams, alpha: int, rs, order) -> float:
+    """Telescoping combinator over the components taken in the given order.
+
+    ln(sum_i W_i^alpha (I_i - I_{i+1}) + I_m) / (1 - alpha), with I_i the
+    order-alpha power integral exp((1-alpha) R_i) and W_i the cumulative
+    weight of the first i components, evaluated with a max shift. The
+    paper reading takes the stable sort by non-increasing power integral,
+    which for alpha > 1 is non-decreasing R_alpha; the listed reading takes
+    the listed order.
+    """
+    log_i = (1.0 - alpha) * np.asarray(rs)[order]
+    w = np.asarray(m.weights)[order]
+    shift = float(np.max(log_i))
+    total = math.exp(log_i[-1] - shift)
     cum = 0.0
-    for i in range(len(li) - 1):
-        cum += eps[i]
-        gap = li[i + 1] - li[i]  # <= 0 by the sort
-        if cum == 0.0 or gap == 0.0:
-            continue
-        terms.append(alpha * math.log(cum) + li[i] + math.log1p(-math.exp(gap)))
-    return _logsumexp(np.array(terms)) / (1.0 - alpha)
+    for i in range(len(log_i) - 1):
+        cum += w[i]
+        total += cum**alpha * (math.exp(log_i[i] - shift) - math.exp(log_i[i + 1] - shift))
+    # Positive in exact arithmetic (summation by parts gives nonnegative
+    # weights on every power integral); only cancellation can break it.
+    if not total > 0.0:
+        raise ArithmeticError("telescoped sum is not positive")
+    return (shift + math.log(total)) / (1.0 - alpha)
 
 
 def _renyi_exact_upper_from(m: MixtureParams, alpha: int, rs) -> float:
@@ -239,21 +248,6 @@ def _renyi_exact_upper_from(m: MixtureParams, alpha: int, rs) -> float:
     if all(c.dof > 2.0 for c in m.components):
         upper = min(upper, 0.5 * (m.dim * _LOG_2PIE + log_det(mixture_cov(m))))
     return upper
-
-
-def _renyi_listed_from(m: MixtureParams, alpha: int, rs) -> float:
-    log_i = (1.0 - alpha) * np.asarray(rs)
-    shift = float(np.max(log_i))
-    total = math.exp(log_i[-1] - shift)
-    cum = 0.0
-    for i in range(len(log_i) - 1):
-        cum += m.weights[i]
-        total += cum**alpha * (math.exp(log_i[i] - shift) - math.exp(log_i[i + 1] - shift))
-    # Positive in exact arithmetic (summation by parts gives nonnegative
-    # weights on every power integral); only cancellation can break it.
-    if not total > 0.0:
-        raise ArithmeticError("telescoped sum in the listed order is not positive")
-    return (shift + math.log(total)) / (1.0 - alpha)
 
 
 def renyi_upper(m: MixtureParams, alpha, quad: QuadratureSpec | None = None) -> float:
@@ -266,7 +260,8 @@ def renyi_upper(m: MixtureParams, alpha, quad: QuadratureSpec | None = None) -> 
     ``renyi_bounds(..., convention="exact").upper`` for a valid upper bound.
     """
     alpha = _check_alpha_int(alpha)
-    return _renyi_upper_from(m, alpha, _component_renyi(m, alpha, quad))
+    rs = _component_renyi(m, alpha, quad)
+    return _telescoped(m, alpha, rs, np.argsort(rs, kind="stable"))
 
 
 def renyi_bounds(
@@ -292,11 +287,11 @@ def renyi_bounds(
     rs = _component_renyi(m, alpha, quad)
     lower = _renyi_lower_from(m, alpha, rs)
     if convention == "paper":
-        upper = _renyi_upper_from(m, alpha, rs)
+        upper = _telescoped(m, alpha, rs, np.argsort(rs, kind="stable"))
     elif convention == "exact":
         upper = _renyi_exact_upper_from(m, alpha, rs)
     else:
-        lower, upper = sorted((lower, _renyi_listed_from(m, alpha, rs)))
+        lower, upper = sorted((lower, _telescoped(m, alpha, rs, np.arange(len(rs)))))
     return BoundsReport(lower=lower, upper=upper, per_component=rs, alpha=float(alpha))
 
 

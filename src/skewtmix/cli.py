@@ -73,9 +73,18 @@ def _row(case, components, alpha, **cells) -> ReportRow:
     )
 
 
-def _oracle(mixture, alpha, samples, seed, threads):
-    """Monte Carlo estimate of the mixture's Shannon (alpha "shannon") or Renyi entropy."""
+def _oracle(mixture, alpha, samples, seed, threads, method="mc"):
+    """Monte Carlo estimate of the mixture's Shannon (alpha "shannon") or Renyi entropy.
+
+    method "is" samples ``fat_proposal(mixture)`` and applies to Renyi orders only.
+    """
     logpdf = lambda x: mixture_logpdf(mixture, x)  # noqa: E731
+    if method == "is":
+        if alpha == "shannon":
+            raise ValueError("importance sampling applies to Renyi orders; use --method mc for shannon")
+        proposal = fat_proposal(mixture)
+        return is_renyi(logpdf, lambda x: mixture_logpdf(proposal, x),
+                        lambda n, s: sample_mixture(proposal, n, s), float(alpha), samples, seed, threads)
     sampler = lambda n, s: sample_mixture(mixture, n, s)  # noqa: E731
     if alpha == "shannon":
         return mc_shannon(logpdf, sampler, samples, seed, threads)
@@ -113,16 +122,7 @@ def _cmd_entropy(args) -> int:
                      else skewt_renyi(comp, alpha, cfg.quadrature))
             rows.append(_row(args.label, mixture.components, alpha, approx=value))
             continue
-        if args.method == "mc":
-            est = _oracle(mixture, alpha, samples, seed, threads)
-        else:  # importance sampling
-            if alpha == "shannon":
-                raise ValueError("importance sampling applies to Renyi orders; use --method mc for shannon")
-            proposal = fat_proposal(mixture)
-            est = is_renyi(
-                lambda x: mixture_logpdf(mixture, x), lambda x: mixture_logpdf(proposal, x),
-                lambda n, s: sample_mixture(proposal, n, s), alpha, samples, seed, threads,
-            )
+        est = _oracle(mixture, alpha, samples, seed, threads, args.method)
         rows.append(
             _row(args.label, mixture.components, alpha,
                  approx=est.value, oracle=est.value, oracle_se=est.std_error)

@@ -70,18 +70,24 @@ def _eval_logpdf(logpdf, draws: np.ndarray, threads: int) -> np.ndarray:
     return out
 
 
-def _check_finite(lp: np.ndarray) -> None:
-    bad = np.flatnonzero(~np.isfinite(lp))
-    if bad.size:
-        raise ArithmeticError(f"non-finite log density at draw index {int(bad[0])}")
+def _log_densities(sampler, n: int, seed: int, threads: int, *logpdfs) -> list:
+    """Draw n points once and evaluate each log density on them, all finite."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    draws = sampler(n, seed)
+    out = []
+    for logpdf in logpdfs:
+        lp = _eval_logpdf(logpdf, draws, threads)
+        bad = np.flatnonzero(~np.isfinite(lp))
+        if bad.size:
+            raise ArithmeticError(f"non-finite log density at draw index {int(bad[0])}")
+        out.append(lp)
+    return out
 
 
 def mc_shannon(logpdf, sampler, n: int, seed: int, threads: int = 1) -> Estimate:
     """Plain Monte Carlo Shannon entropy: minus the mean log density."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    lp = _eval_logpdf(logpdf, sampler(n, seed), threads)
-    _check_finite(lp)
+    (lp,) = _log_densities(sampler, n, seed, threads, logpdf)
     return Estimate(
         value=float(-np.mean(lp)),
         std_error=float(np.std(lp) / math.sqrt(n)),
@@ -96,39 +102,51 @@ def _check_order(alpha: float) -> None:
         raise ValueError("alpha must be finite, positive and different from 1")
 
 
-def _log_mean_exp(logs: np.ndarray) -> tuple:
-    """(log mean exp, relative standard error of the mean, exp(logs - max))."""
+def _renyi_estimate(logs: np.ndarray, alpha: float, seed: int, method: str) -> Estimate:
+    """Renyi estimate from log weights whose mean exp estimates the power integral.
+
+    The mean is taken with a max shift, and the standard error of its log
+    comes from the delta method. Importance sampling also reports the
+    effective sample size of the weights and warns when it is low.
+    """
+    n = len(logs)
     shift = float(np.max(logs))
     scaled = np.exp(logs - shift)
     mean = float(np.mean(scaled))
     if mean <= 0.0:
         raise ArithmeticError("all summands vanished in the power mean")
-    rel_se = float(np.std(scaled) / (mean * math.sqrt(len(scaled))))
-    return shift + math.log(mean), rel_se, scaled
+    rel_se = float(np.std(scaled) / (mean * math.sqrt(n)))
+    ess, low = None, False
+    if method == IMPORTANCE:
+        ess = float(np.sum(scaled) ** 2 / np.sum(scaled * scaled))
+        low = ess < ESS_RATIO_FLOOR * n
+        if low:
+            warnings.warn(
+                f"effective sample size {ess:.1f} below {ESS_RATIO_FLOOR:.0%} of n = {n}",
+                LowEffectiveSampleSize,
+                stacklevel=3,
+            )
+    return Estimate(
+        value=(shift + math.log(mean)) / (1.0 - alpha),
+        std_error=rel_se / abs(1.0 - alpha),
+        n=n,
+        seed=seed,
+        method=method,
+        ess=ess,
+        low_ess=low,
+    )
 
 
 def mc_renyi(logpdf, sampler, alpha: float, n: int, seed: int, threads: int = 1) -> Estimate:
     """Plain Monte Carlo Renyi entropy of order alpha != 1.
 
-    Averages the (alpha-1) power of the density over its own draws with a
-    max shift; the standard error of the log comes from the delta method.
+    Averages the (alpha-1) power of the density over its own draws.
     Heavy tails inflate the variance for extreme orders; the reported
     standard error stays honest either way.
     """
     _check_order(alpha)
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    lp = _eval_logpdf(logpdf, sampler(n, seed), threads)
-    _check_finite(lp)
-    log_mean, rel_se, _ = _log_mean_exp((alpha - 1.0) * lp)
-    scale = abs(1.0 - alpha)
-    return Estimate(
-        value=log_mean / (1.0 - alpha),
-        std_error=rel_se / scale,
-        n=n,
-        seed=seed,
-        method=PLAIN_MC,
-    )
+    (lp,) = _log_densities(sampler, n, seed, threads, logpdf)
+    return _renyi_estimate((alpha - 1.0) * lp, alpha, seed, PLAIN_MC)
 
 
 def is_renyi(
@@ -147,31 +165,8 @@ def is_renyi(
     alpha-th power of the target; use fat_proposal for a safe default.
     """
     _check_order(alpha)
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    draws = proposal_sampler(n, seed)
-    lt = _eval_logpdf(target_logpdf, draws, threads)
-    lq = _eval_logpdf(proposal_logpdf, draws, threads)
-    _check_finite(lt)
-    _check_finite(lq)
-    log_mean, rel_se, sw = _log_mean_exp(alpha * lt - lq)
-    ess = float(np.sum(sw) ** 2 / np.sum(sw * sw))
-    low = ess < ESS_RATIO_FLOOR * n
-    if low:
-        warnings.warn(
-            f"effective sample size {ess:.1f} below {ESS_RATIO_FLOOR:.0%} of n = {n}",
-            LowEffectiveSampleSize,
-            stacklevel=2,
-        )
-    return Estimate(
-        value=log_mean / (1.0 - alpha),
-        std_error=rel_se / abs(1.0 - alpha),
-        n=n,
-        seed=seed,
-        method=IMPORTANCE,
-        ess=ess,
-        low_ess=low,
-    )
+    lt, lq = _log_densities(proposal_sampler, n, seed, threads, target_logpdf, proposal_logpdf)
+    return _renyi_estimate(alpha * lt - lq, alpha, seed, IMPORTANCE)
 
 
 def fat_proposal(law):

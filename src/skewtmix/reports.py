@@ -10,27 +10,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 __all__ = ["ReportRow", "rows_to_csv", "rows_to_json", "rows_from_json"]
-
-_FIELDS = (
-    "case",
-    "d",
-    "m",
-    "dofs",
-    "alpha",
-    "lower",
-    "upper",
-    "approx",
-    "half_width",
-    "oracle",
-    "oracle_se",
-    "reference",
-    "abs_diff",
-    "passed",
-)
-
 
 @dataclass(frozen=True)
 class ReportRow:
@@ -48,6 +30,9 @@ class ReportRow:
     reference: float | None = None
     abs_diff: float | None = None
     passed: bool | None = None
+
+
+_FIELDS = tuple(f.name for f in fields(ReportRow))
 
 
 def _fmt(value) -> str:

@@ -19,10 +19,7 @@ from .linalg import SpdMatrix
 
 __all__ = [
     "single_case",
-    "SINGLE_CASES",
     "mixture_d1",
-    "mixture_d2",
-    "mixture_d3",
     "MIXTURE_IDS",
     "builtin_mixture",
     "TABLE1_ALPHAS",
@@ -67,16 +64,31 @@ def single_case(d: int, dof: float) -> SkewTParams:
     raise ValueError(f"no bundled single-component case for d = {d}")
 
 
-SINGLE_CASES = {d: single_case(d, 3.0) for d in (1, 2, 3)}
-
 # ---------------------------------------------------------------------------
-# Mixture parameter sets.
+# Mixture parameter sets: component i of mixture d{d}_m{m} is entry i of the
+# d tuple, (mu, scale, delta, dof), with the weights of _WEIGHTS[m].
 
-_D1 = {
-    "mu": (0.3, 4.0, 0.6, 3.0, 2.0),
-    "scale": (1.5, 5.0, 3.0, 2.0, 5.0),
-    "delta": (0.3, 4.0, 2.2, 1.0, 2.1),
-    "dof": (3.0, 3.0, 4.0, 4.0, 5.0),
+_COMPONENTS = {
+    1: (
+        (0.3, 1.5, 0.3, 3.0),
+        (4.0, 5.0, 4.0, 3.0),
+        (0.6, 3.0, 2.2, 4.0),
+        (3.0, 2.0, 1.0, 4.0),
+        (2.0, 5.0, 2.1, 5.0),
+    ),
+    2: (
+        ((3.0, 2.0), ((0.7, 0.3), (0.3, 3.0)), (0.16, 0.59), 3.0),
+        ((1.0, 5.0), ((0.12, 0.13), (0.13, 3.0)), (2.3, 3.1), 3.0),
+        ((3.0, 1.0), ((0.18, 0.6), (0.6, 4.0)), (2.6, 1.0), 4.0),
+        ((1.0, 1.0), ((1.0, 0.0), (0.0, 1.0)), (0.6, 1.0), 4.0),
+        ((1.0, 0.3), ((1.0, 0.0), (0.0, 1.0)), (1.0, 1.0), 5.0),
+    ),
+    # d = 3: third coordinates of mu/delta beyond those given are zero-filled.
+    3: (
+        ((3.0, 2.0, 0.0), ((0.7, 0.3, 0.5), (0.3, 3.0, 0.3), (0.5, 0.3, 1.0)), (0.16, 0.59, 0.1), 3.0),
+        ((1.0, 5.0, 0.0), ((5.0, 0.3, 2.0), (0.3, 5.0, 1.0), (2.0, 1.0, 3.0)), (2.3, 3.1, 0.0), 3.0),
+        ((2.0, 3.0, 0.0), np.eye(3), (2.0, 1.0, 0.0), 4.0),
+    ),
 }
 
 _WEIGHTS = {
@@ -86,76 +98,23 @@ _WEIGHTS = {
     5: (0.2, 0.2, 0.2, 0.2, 0.2),
 }
 
-_D2_MU = ((3.0, 2.0), (1.0, 5.0), (3.0, 1.0), (1.0, 1.0), (1.0, 0.3))
-_D2_SCALE = (
-    ((0.7, 0.3), (0.3, 3.0)),
-    ((0.12, 0.13), (0.13, 3.0)),
-    ((0.18, 0.6), (0.6, 4.0)),
-    ((1.0, 0.0), (0.0, 1.0)),
-    ((1.0, 0.0), (0.0, 1.0)),
-)
-_D2_DELTA = ((0.16, 0.59), (2.3, 3.1), (2.6, 1.0), (0.6, 1.0), (1.0, 1.0))
-_D2_DOF = (3.0, 3.0, 4.0, 4.0, 5.0)
-
-# d = 3: third coordinates of mu/delta beyond those given are zero-filled.
-_D3_MU = ((3.0, 2.0, 0.0), (1.0, 5.0, 0.0), (2.0, 3.0, 0.0))
-_D3_SCALE = (
-    ((0.7, 0.3, 0.5), (0.3, 3.0, 0.3), (0.5, 0.3, 1.0)),
-    ((5.0, 0.3, 2.0), (0.3, 5.0, 1.0), (2.0, 1.0, 3.0)),
-    ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
-)
-_D3_DELTA = ((0.16, 0.59, 0.1), (2.3, 3.1, 0.0), (2.0, 1.0, 0.0))
-_D3_DOF = (3.0, 3.0, 4.0)
-
-
-def mixture_d1(m: int) -> MixtureParams:
-    """Bundled one dimensional mixture with m components (2..5)."""
-    if m not in _WEIGHTS:
-        raise ValueError(f"no bundled d=1 mixture with m = {m}")
-    comps = tuple(
-        _comp(_D1["mu"][i], _D1["scale"][i], _D1["delta"][i], _D1["dof"][i]) for i in range(m)
-    )
-    return MixtureParams(components=comps, weights=np.asarray(_WEIGHTS[m]))
-
-
-def mixture_d2(m: int) -> MixtureParams:
-    """Bundled two dimensional mixture with m components (2..5); property mode."""
-    if m not in _WEIGHTS:
-        raise ValueError(f"no bundled d=2 mixture with m = {m}")
-    comps = tuple(_comp(_D2_MU[i], _D2_SCALE[i], _D2_DELTA[i], _D2_DOF[i]) for i in range(m))
-    return MixtureParams(components=comps, weights=np.asarray(_WEIGHTS[m]))
-
-
-def mixture_d3(m: int) -> MixtureParams:
-    """Bundled three dimensional mixture with m components (2..3); property mode."""
-    if m not in (2, 3):
-        raise ValueError(f"no bundled d=3 mixture with m = {m}")
-    comps = tuple(_comp(_D3_MU[i], _D3_SCALE[i], _D3_DELTA[i], _D3_DOF[i]) for i in range(m))
-    return MixtureParams(components=comps, weights=np.asarray(_WEIGHTS[m]))
-
-
 MIXTURE_IDS = tuple(
-    [f"d1_m{m}" for m in (2, 3, 4, 5)]
-    + [f"d2_m{m}" for m in (2, 3, 4, 5)]
-    + [f"d3_m{m}" for m in (2, 3)]
+    f"d{d}_m{m}" for d, comps in _COMPONENTS.items() for m in range(2, len(comps) + 1)
 )
 
 
 def builtin_mixture(mixture_id: str) -> MixtureParams:
-    """Look up a built-in mixture by its id, e.g. 'd1_m2'."""
-    try:
-        d, m = mixture_id.split("_")
-        d = int(d[1:])
-        m = int(m[1:])
-    except (ValueError, IndexError) as exc:
-        raise ValueError(f"unknown mixture id {mixture_id!r}") from exc
-    if d == 1:
-        return mixture_d1(m)
-    if d == 2:
-        return mixture_d2(m)
-    if d == 3:
-        return mixture_d3(m)
-    raise ValueError(f"unknown mixture id {mixture_id!r}")
+    """Look up a built-in mixture by its id, one of ``MIXTURE_IDS`` (e.g. 'd1_m2')."""
+    if mixture_id not in MIXTURE_IDS:
+        raise ValueError(f"unknown mixture id {mixture_id!r}")
+    d, m = (int(part[1:]) for part in mixture_id.split("_"))
+    comps = tuple(_comp(*params) for params in _COMPONENTS[d][:m])
+    return MixtureParams(components=comps, weights=np.asarray(_WEIGHTS[m]))
+
+
+def mixture_d1(m: int) -> MixtureParams:
+    """Bundled one dimensional mixture with m components (2..5)."""
+    return builtin_mixture(f"d1_m{m}")
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,33 @@ class TestRenyiConventions:
         assert listed.lower == pytest.approx(min(paper.lower, paper.upper), abs=1e-12)
         assert listed.upper == pytest.approx(max(paper.lower, paper.upper), abs=1e-12)
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("alpha", [2, 5, 30])
+    def test_telescoped_matches_summation_by_parts(self, mixtures, m, alpha):
+        # listed in non-increasing power integral order, the listed reading
+        # telescopes the same sum as the paper reading; summation by parts
+        # rewrites it as sum_j (W_j^alpha - W_{j-1}^alpha) I_j, all terms >= 0
+        mix = mixtures[m]
+        rs = [skewt_renyi(c, float(alpha)) for c in mix.components]
+        order = sorted(range(m), key=lambda i: -(1.0 - alpha) * rs[i])
+        ordered = MixtureParams(
+            components=tuple(mix.components[i] for i in order), weights=mix.weights[order]
+        )
+        log_i = [(1.0 - alpha) * rs[i] for i in order]
+        shift = max(log_i)
+        cum = [0.0] + [math.fsum(ordered.weights[: j + 1]) for j in range(m)]
+        total = math.fsum(
+            (cum[j + 1] ** alpha - cum[j] ** alpha) * math.exp(log_i[j] - shift) for j in range(m)
+        )
+        reference = (shift + math.log(total)) / (1.0 - alpha)
+
+        paper = renyi_bounds(mix, alpha).upper
+        listed = renyi_bounds(ordered, alpha, convention="listed")
+        telescoped = min((listed.lower, listed.upper), key=lambda v: abs(v - paper))
+        assert telescoped == pytest.approx(paper, rel=1e-14, abs=0.0)
+        assert paper == pytest.approx(reference, rel=1e-14, abs=0.0)
+        assert telescoped == pytest.approx(reference, rel=1e-14, abs=0.0)
+
     def test_listed_depends_on_order(self, mixtures):
         mix = mixtures[3]
         perm = MixtureParams(

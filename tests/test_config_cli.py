@@ -9,7 +9,7 @@ from skewtmix import tables
 from skewtmix.bounds import renyi_bounds, shannon_bounds
 from skewtmix.cli import main
 from skewtmix.config import ConfigError, parse_config
-from skewtmix.distributions import mixture_logpdf, sample_mixture
+from skewtmix.distributions import CHUNK_SIZE, mixture_logpdf, sample_mixture
 from skewtmix.mc import fat_proposal, is_renyi, mc_renyi, mc_shannon
 from skewtmix.reports import ReportRow, rows_from_json, rows_to_csv, rows_to_json
 
@@ -80,6 +80,12 @@ class TestConfig:
         cfg = parse_config({**CASE1, "quadrature": {"abs_tol": 1e-8, "rel_tol": 1e-8}})
         assert cfg.quadrature.abs_tol == 1e-8
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("key", ["abs_tol", "rel_tol"])
+    def test_non_finite_quadrature_tolerance_rejected(self, key, bad):
+        with pytest.raises(ConfigError, match="quadrature"):
+            parse_config({**CASE1, "quadrature": {key: bad}})
+
 
 class TestReports:
     def test_json_roundtrip(self):
@@ -141,6 +147,22 @@ class TestEntropyCommand:
         assert code == 1
         assert out == ""
         assert "alpha must be finite" in err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_quadrature_tolerance_exits_one(self, tmp_path, capsys, bad):
+        # json.dumps writes the bare literals NaN and Infinity, which json.load reads back
+        cfg = write_config(tmp_path, {**CASE1, "quadrature": {"abs_tol": bad}})
+        code, out, err = run_cli(capsys, "entropy", cfg)
+        assert code == 1
+        assert out == ""
+        assert "quadrature" in err
+
+    def test_importance_sampling_needs_renyi_order(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, CASE1)
+        code, out, err = run_cli(capsys, "entropy", cfg, "--method", "is", "--samples", "1000")
+        assert code == 1
+        assert out == ""
+        assert "importance sampling applies to Renyi orders" in err
 
     def test_importance_sampling_runs(self, tmp_path, capsys):
         cfg = write_config(tmp_path, CASE1)
@@ -295,6 +317,22 @@ class TestReproduceCommand:
         assert code == 1
         assert out == ""
         assert "--tolerance must be a nonnegative number" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--oracle", "--alpha", "shannon", "--alpha", "2", "--alpha", "5"),
+    ("entropy", "--method", "is", "--alpha", "2"),
+], ids=["bounds-oracle", "entropy-is"])
+def test_output_thread_count_invariant(tmp_path, capsys, argv):
+    # two sampler chunks of draws, so --threads 2 evaluates the log densities in parallel
+    cfg = write_config(tmp_path, MIX_M2)
+    outs = []
+    for threads in ("1", "2"):
+        code, out, _ = run_cli(capsys, argv[0], cfg, *argv[1:], "--samples", str(2 * CHUNK_SIZE),
+                               "--seed", "9", "--threads", threads, "--out", "json")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

@@ -110,11 +110,21 @@ class TestDeterminism:
         b = mc_shannon(*args, 200_000, 33)
         assert a == b
 
-    def test_thread_count_invariant(self, case1):
-        args = (lambda x: skewt_logpdf(case1, x), lambda n, s: sample_skewt(case1, n, s))
-        serial = mc_renyi(*args, 2.0, 200_000, 34, threads=1)
-        threaded = mc_renyi(*args, 2.0, 200_000, 34, threads=4)
-        assert serial == threaded
+    @pytest.mark.parametrize("estimator", ["mc_shannon", "mc_renyi", "is_renyi"])
+    def test_thread_count_invariant(self, case1, estimator):
+        # 200k draws span four sampler chunks, so four threads split each log density
+        target = lambda x: skewt_logpdf(case1, x)  # noqa: E731
+        sampler = lambda n, s: sample_skewt(case1, n, s)  # noqa: E731
+        proposal = fat_proposal(case1)
+        calls = {
+            "mc_shannon": lambda threads: mc_shannon(target, sampler, 200_000, 34, threads),
+            "mc_renyi": lambda threads: mc_renyi(target, sampler, 2.0, 200_000, 34, threads),
+            "is_renyi": lambda threads: is_renyi(
+                target, lambda x: skewt_logpdf(proposal, x),
+                lambda n, s: sample_skewt(proposal, n, s), 2.0, 200_000, 34, threads,
+            ),
+        }
+        assert calls[estimator](1) == calls[estimator](4)
 
     def test_se_scaling(self):
         small = mc_shannon(gauss_logpdf, gauss_sampler, 250_000, 35)
