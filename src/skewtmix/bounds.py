@@ -186,10 +186,6 @@ def _check_alpha_int(alpha) -> int:
     return alpha
 
 
-def _component_renyi(m: MixtureParams, alpha: float, quad) -> list:
-    return [skewt_renyi(c, alpha, quad) for c in m.components]
-
-
 def _logsumexp(terms: np.ndarray) -> float:
     shift = np.max(terms)
     if not np.isfinite(shift):
@@ -212,8 +208,7 @@ def renyi_lower(m: MixtureParams, alpha, quad: QuadratureSpec | None = None) -> 
     Evaluated in closed form: alpha/(1-alpha) ln sum_i w_i exp((1-alpha)/alpha R_alpha(f_i)),
     which is the multinomial expansion of (sum_i w_i ||f_i||_alpha)^alpha.
     """
-    alpha = _check_alpha_int(alpha)
-    return _renyi_lower_from(m, alpha, _component_renyi(m, alpha, quad))
+    return renyi_bounds(m, alpha, quad).lower
 
 
 def _telescoped(m: MixtureParams, alpha: int, rs, order) -> float:
@@ -259,9 +254,7 @@ def renyi_upper(m: MixtureParams, alpha, quad: QuadratureSpec | None = None) -> 
     ignores component locations, and separated mixtures exceed it. Use
     ``renyi_bounds(..., convention="exact").upper`` for a valid upper bound.
     """
-    alpha = _check_alpha_int(alpha)
-    rs = _component_renyi(m, alpha, quad)
-    return _telescoped(m, alpha, rs, np.argsort(rs, kind="stable"))
+    return renyi_bounds(m, alpha, quad).upper
 
 
 def renyi_bounds(
@@ -284,7 +277,7 @@ def renyi_bounds(
     if convention not in ("paper", "exact", "listed"):
         raise ValueError("convention must be 'paper', 'exact' or 'listed'")
     alpha = _check_alpha_int(alpha)
-    rs = _component_renyi(m, alpha, quad)
+    rs = [skewt_renyi(c, alpha, quad) for c in m.components]
     lower = _renyi_lower_from(m, alpha, rs)
     if convention == "paper":
         upper = _telescoped(m, alpha, rs, np.argsort(rs, kind="stable"))

@@ -1,10 +1,11 @@
 """Command line front end: entropy, bounds, and reproduce subcommands.
 
 Exit codes: 0 on success; 1 on validation or domain errors, among them
-``--threads`` below 1, ``--samples`` below 2 (the config file's rule), a
-negative or NaN ``--tolerance`` and a malformed ``--rows`` filter; 2 when
-a reproduction run's pass rate over scored cells drops below the
-threshold, or on an argparse usage error.
+``--threads`` below 1, ``--samples`` below 2 and ``--seed`` outside
+[0, 2**64) (the config file's rules), a negative or NaN ``--tolerance``
+and a malformed ``--rows`` filter; 2 when a reproduction run's pass rate
+over scored cells drops below the threshold, or on an argparse usage
+error such as a ``--threads`` that is neither an integer nor 'auto'.
 """
 
 from __future__ import annotations
@@ -24,18 +25,24 @@ from .reports import ReportRow, rows_to_csv, rows_to_json
 PASS_RATE_THRESHOLD = 0.9
 
 
-def _threads(args) -> int:
-    if args.threads == "auto":
-        return min(4, os.cpu_count() or 1)
-    if args.threads < 1:
-        raise ValueError(f"--threads must be at least 1 or 'auto', got {args.threads}")
-    return args.threads
+def _threads_arg(raw: str) -> int:
+    try:
+        return min(4, os.cpu_count() or 1) if raw == "auto" else int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"--threads takes a positive integer or 'auto', got {raw!r}") from None
 
 
-def _samples(samples: int) -> int:
+def _run_options(args, seed: int, samples: int):
+    """Checked seed, samples and threads; --seed and --samples, where given, override the first two."""
+    seed = seed if args.seed is None else args.seed
+    samples = samples if args.samples is None else args.samples
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"--seed must be an integer in [0, 2**64), got {seed}")
     if samples < 2:
         raise ValueError(f"--samples must be an integer >= 2, got {samples}")
-    return samples
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1 or 'auto', got {args.threads}")
+    return seed, samples, args.threads
 
 
 def _emit(rows, fmt: str, out_file: str | None) -> None:
@@ -59,10 +66,9 @@ def _parse_alpha(raw: str):
 def _load_run(args):
     """Config, seed, samples, threads and orders of a config command."""
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.seed
-    samples = _samples(args.samples) if args.samples is not None else cfg.samples
+    seed, samples, threads = _run_options(args, cfg.seed, cfg.samples)
     alphas = [_parse_alpha(a) for a in (args.alpha or ["shannon"])]
-    return cfg, seed, samples, _threads(args), alphas
+    return cfg, seed, samples, threads, alphas
 
 
 def _row(case, components, alpha, **cells) -> ReportRow:
@@ -245,8 +251,7 @@ def _cmd_reproduce(args) -> int:
     tol = args.tolerance
     if not tol >= 0.0:
         raise ValueError(f"--tolerance must be a nonnegative number, got {tol}")
-    threads = _threads(args)
-    samples = _samples(args.samples)
+    seed, samples, threads = _run_options(args, DEFAULT_SEED, DEFAULT_SAMPLES)
     if args.table == 1:
         rows = _reproduce_table1(filters, tol)
     elif args.table == 2:
@@ -254,12 +259,12 @@ def _cmd_reproduce(args) -> int:
         rows = _reference_rows("t2", (2, 3, 4, 5), ("shannon",), "paper",
                                lambda m, _: tables.REFERENCE_TABLE2_D1[m][:3], filters, tol)
         rows += _property_rows("t2", ((2, (2, 3, 4, 5)), (3, (2, 3))), ("shannon",),
-                               filters, args.seed, samples, threads)
+                               filters, seed, samples, threads)
     elif args.table == 3:
         rows = _reference_rows("t3", (2, 3, 4), tables.TABLE3_ALPHAS, "listed",
                                lambda m, a: tables.REFERENCE_TABLE3_D1[(m, a)], filters, tol)
         rows += _property_rows("t3", ((2, (2, 3)), (3, (2,))), (2, 5),
-                               filters, args.seed, samples, threads)
+                               filters, seed, samples, threads)
     else:
         raise ValueError(f"unknown table id {args.table}; expected 1, 2 or 3")
     if not rows:
@@ -287,10 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_config:
             p.add_argument("config", help="path to a JSON model config")
             p.add_argument("--label", default="config", help="case label used in report rows")
-        p.add_argument("--seed", type=int, default=None if needs_config else DEFAULT_SEED)
-        p.add_argument("--samples", type=int, default=None if needs_config else DEFAULT_SAMPLES)
-        p.add_argument("--threads", default="auto",
-                       type=lambda s: s if s == "auto" else int(s),
+        p.add_argument("--seed", type=int)
+        p.add_argument("--samples", type=int)
+        p.add_argument("--threads", default="auto", type=_threads_arg,
                        help="worker threads (results are thread-count invariant)")
         p.add_argument("--out", choices=("csv", "json"), default="csv")
         p.add_argument("--out-file", default=None, help="write the report here instead of stdout")

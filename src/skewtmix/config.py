@@ -120,8 +120,8 @@ def parse_config(document: dict) -> ModelConfig:
         raise ConfigError("weights", str(exc)) from exc
 
     seed = document.get("seed", DEFAULT_SEED)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("seed", f"expected an integer, got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 1 << 64:
+        raise ConfigError("seed", f"expected an integer in [0, 2**64), got {seed!r}")
     samples = document.get("samples", DEFAULT_SAMPLES)
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 2:
         raise ConfigError("samples", f"expected an integer >= 2, got {samples!r}")

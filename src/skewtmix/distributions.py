@@ -25,10 +25,10 @@ moment formulas, is
 
 all independent. ``delta = 0`` recovers the multivariate t exactly.
 
-Sampling is deterministic for a fixed seed: draws are produced in fixed
-size chunks, and chunk c of a run with seed s uses the counter-based
-Philox stream keyed by (s, c), so chunked parallel generation and serial
-generation agree bit for bit.
+Sampling is deterministic for a fixed seed in [0, 2**64): draws are
+produced in fixed size chunks, and chunk c of a run with seed s uses the
+counter-based Philox stream keyed by (s, c), so chunked parallel
+generation and serial generation agree bit for bit.
 """
 
 from __future__ import annotations
@@ -328,10 +328,16 @@ def _sample_component_chunk(p: SkewTParams, count: int, rng: np.random.Generator
     return p.mu + (shape.delta_hat[None, :] * u0[:, None] + u) / np.sqrt(w)[:, None]
 
 
-def sample_skewt(p: SkewTParams, n: int, seed: int) -> np.ndarray:
-    """Draw n rows from the skew-t law; bit-identical for a fixed seed."""
+def _check_request(n: int, seed: int) -> None:
     if n < 1:
         raise ValueError("n must be at least 1")
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
+
+
+def sample_skewt(p: SkewTParams, n: int, seed: int) -> np.ndarray:
+    """Draw n rows from the skew-t law; bit-identical for a fixed seed."""
+    _check_request(n, seed)
     out = np.empty((n, p.dim))
     for c, start, stop in _chunk_ranges(n):
         out[start:stop] = _sample_component_chunk(p, stop - start, _stream(seed, c))
@@ -346,8 +352,7 @@ def sample_mixture(m: MixtureParams, n: int, seed: int) -> np.ndarray:
     component's own derived stream. A single-component mixture therefore
     produces exactly sample_skewt(component, n, component_seed(seed, 0)).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_request(n, seed)
     out = np.empty((n, m.dim))
     edges = np.cumsum(m.weights)
     alloc_seed = component_seed(seed, _ALLOC_TAG)

@@ -3,15 +3,14 @@
 The multivariate t entropies are fully closed forms in gamma/digamma
 terms. The skewness corrections are one dimensional expectations against
 a Student t weight, evaluated on arrays by a nested double-exponential
-rule, with a Monte Carlo fallback if the Shannon correction's rule does
-not converge.
+rule.
 
 A converged correction is kept on its component, keyed by the order (or
 Shannon), the ``QuadratureSpec`` and the variant, and later calls with the
 same key reuse it. Order validation, the large-order warning and the
-closed-form part run on every call; a rule that did not converge, its
-warning and the Monte Carlo fallback are never kept, so they recur on
-every call.
+closed-form part run on every call. A rule that did not converge keeps
+nothing: its value is returned with a ``QuadratureWarning`` quoting its
+error estimate, so the warning recurs on every call.
 
 Two printed-formula ambiguities were resolved against an independent
 Monte Carlo oracle and frozen (see the test suite's resolution gate):
@@ -54,7 +53,6 @@ __all__ = [
 _LN2 = math.log(2.0)
 _HALF_PI = 0.5 * math.pi
 _ALPHA_WARN = 1e4
-_MC_FALLBACK_N = 1_000_000
 # Nodes span t in [-5, 5], |x - x0| up to ~1e50 scales, past which a dof-v t tail holds ~1e-50v.
 _DE_T_MAX = 5.0
 _DE_FIRST_STEP = 0.125
@@ -193,6 +191,26 @@ def mt_renyi(p: SkewTParams, alpha: float) -> float:
     return power_integral_constant(p, alpha) / (1.0 - alpha)
 
 
+def _check_variant(variant: str) -> None:
+    if variant not in ("frozen", "printed"):
+        raise ValueError("variant must be 'frozen' or 'printed'")
+
+
+def _keep_or_warn(p: SkewTParams, key, rule: _Quadrature, what: str, divisor: float = 1.0) -> float:
+    """rule.value / divisor in nats; kept on p under key if the rule converged, else warned about."""
+    value = rule.value / divisor
+    if rule.converged:
+        p._corrections[key] = value
+    else:
+        warnings.warn(
+            f"{what} did not reach the requested tolerance: "
+            f"error estimate {rule.error / abs(divisor):.3g} over {rule.points} points",
+            QuadratureWarning,
+            stacklevel=3,
+        )
+    return value
+
+
 def skew_correction(
     p: SkewTParams,
     quad: QuadratureSpec | None = None,
@@ -210,8 +228,7 @@ def skew_correction(
     reading (argument sqrt(dd) y sqrt((v+1)/(v+y^2)), dof v+1), which
     coincides with the frozen one in dimension 1.
     """
-    if variant not in ("frozen", "printed"):
-        raise ValueError("variant must be 'frozen' or 'printed'")
+    _check_variant(variant)
     spec = quad or _DEFAULT_SPEC
     dd = derive_shape(p).dd
     if dd == 0.0:
@@ -231,21 +248,7 @@ def skew_correction(
         return xlogy(wt, g2)
 
     rule = _sinh_sinh(lambda y: np.exp(specfn.student_t_logpdf(y, w)) * fn(y), 0.0, 1.0, spec)
-    if rule.converged:
-        p._corrections[key] = rule.value
-        return rule.value
-    # Monte Carlo fallback over Y ~ t_w
-    rng = np.random.Generator(np.random.Philox(key=np.array([0xE907, 0], dtype=np.uint64)))
-    vals = fn(rng.standard_t(w, size=_MC_FALLBACK_N))
-    est = float(np.mean(vals))
-    se = float(np.std(vals) / math.sqrt(len(vals)))
-    warnings.warn(
-        f"quadrature did not converge to tolerance; Monte Carlo fallback "
-        f"value {est:.6g} with standard error {se:.2g}",
-        QuadratureWarning,
-        stacklevel=2,
-    )
-    return est
+    return _keep_or_warn(p, key, rule, "Shannon skewness correction")
 
 
 def skewt_shannon(
@@ -276,8 +279,7 @@ def skewt_renyi(
     ``variant="printed"`` runs the expectation over the rejected dof
     alpha(v+d)-d instead (identical in dimension 1).
     """
-    if variant not in ("frozen", "printed"):
-        raise ValueError("variant must be 'frozen' or 'printed'")
+    _check_variant(variant)
     spec = quad or _DEFAULT_SPEC
     v, d = p.dof, p.dim
     base = power_integral_constant(p, alpha) / (1.0 - alpha)
@@ -286,7 +288,7 @@ def skewt_renyi(
         return base
     key = (alpha, spec, variant)
     if key in p._corrections:
-        return base + p._corrections[key] / (1.0 - alpha)
+        return base + p._corrections[key]
     den = alpha * (v + d) - 1.0
     dof_x = den if variant == "frozen" else alpha * (v + d) - d
     s = math.sqrt((v + d) * dd)
@@ -312,13 +314,4 @@ def skewt_renyi(
     scale = 1.0 / math.sqrt(curvature) if 0.0 < curvature < math.inf else 1.0
 
     rule = _sinh_sinh(log_integrand, float(probe[j]), scale, spec, log=True)
-    if rule.converged:
-        p._corrections[key] = rule.value
-    else:
-        warnings.warn(
-            f"order-alpha power expectation did not reach the requested tolerance: "
-            f"error estimate {rule.error / abs(1.0 - alpha):.3g} over {rule.points} points",
-            QuadratureWarning,
-            stacklevel=2,
-        )
-    return base + rule.value / (1.0 - alpha)
+    return base + _keep_or_warn(p, key, rule, "order-alpha power expectation", 1.0 - alpha)

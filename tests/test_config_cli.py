@@ -72,6 +72,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="weights"):
             parse_config({**MIX_M2, "weights": [0.5, 0.6]})
 
+    @pytest.mark.parametrize("seed", [-5, -1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ConfigError, match=r"^seed: expected an integer in \[0, 2\*\*64\)"):
+            parse_config({**CASE1, "seed": seed})
+
+    def test_seed_bounds_accepted(self):
+        assert parse_config({**CASE1, "seed": 0}).seed == 0
+        assert parse_config({**CASE1, "seed": 2**64 - 1}).seed == 2**64 - 1
+
     def test_unknown_fields_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             parse_config({**CASE1, "typo": 1})
@@ -364,3 +373,25 @@ def test_samples_below_two_exits_one(tmp_path, capsys, command, samples):
     assert code == 1
     assert out == ""
     assert f"--samples must be an integer >= 2, got {samples}" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", ["entropy-mc", "bounds", "reproduce"])
+def test_seed_outside_64_bits_exits_one(tmp_path, capsys, command, seed):
+    cfg = write_config(tmp_path, MIX_M2)
+    argv = {
+        "entropy-mc": ["entropy", cfg, "--method", "mc"],
+        "bounds": ["bounds", cfg, "--oracle"],
+        "reproduce": ["reproduce", "--table", "2"],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, "--samples", "1000", "--seed", seed)
+    assert code == 1
+    assert out == ""
+    assert f"--seed must be an integer in [0, 2**64), got {seed}" in err
+
+
+def test_threads_not_an_integer_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "--table", "1", "--threads", "abc"])
+    assert exc.value.code == 2
+    assert "--threads takes a positive integer or 'auto', got 'abc'" in capsys.readouterr().err

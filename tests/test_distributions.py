@@ -295,6 +295,16 @@ class TestSamplers:
         ks = np.max(np.abs(stats.t.cdf(grid, 3.0) - empirical))
         assert ks < 0.005
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
+    def test_seed_outside_64_bits_rejected(self, case1, seed):
+        # such seeds used to alias: 2**64 drew seed 0's rows and -1 drew 2**64 - 1's
+        mix = make_mixture([case1], [1.0])
+        with pytest.raises(ValueError, match="seed must be an integer in"):
+            sample_skewt(case1, 10, seed)
+        with pytest.raises(ValueError, match="seed must be an integer in"):
+            sample_mixture(mix, 10, seed)
+        assert sample_skewt(case1, 10, 2**64 - 1).shape == (10, 1)
+
     def test_mixture_single_component_stream(self, case1):
         mix = make_mixture([case1], [1.0])
         a = sample_mixture(mix, CHUNK_SIZE + 100, 77)

@@ -226,34 +226,8 @@ class TestInvariants:
             QuadratureSpec(max_subdivisions=2)
 
 
-# Tolerances no rule can meet within ten subdivisions: forces the failure paths.
+# Tolerances no rule can meet within ten subdivisions: forces the failure path.
 STARVED = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=10)
-
-
-class TestQuadratureFailure:
-    @staticmethod
-    def assert_mc_fallback_agrees(p):
-        with pytest.warns(QuadratureWarning, match="Monte Carlo fallback") as record:
-            fallback = skew_correction(p, STARVED)
-        message = next(str(w.message) for w in record if w.category is QuadratureWarning)
-        se = float(re.search(r"standard error (\S+)$", message).group(1))
-        assert se > 0.0
-        assert abs(fallback - skew_correction(p)) <= 4 * se
-
-    def test_skew_correction_mc_fallback_d1(self, case1):
-        self.assert_mc_fallback_agrees(case1)
-
-    def test_skew_correction_mc_fallback_d2(self, case2):
-        self.assert_mc_fallback_agrees(case2)
-
-    def test_renyi_warns_and_stays_finite(self, case1):
-        with pytest.warns(QuadratureWarning, match="did not reach the requested tolerance") as record:
-            val = skewt_renyi(case1, 2.0, STARVED)
-        assert math.isfinite(val)
-        message = next(str(w.message) for w in record if w.category is QuadratureWarning)
-        error = float(re.search(r"error estimate (\S+) over \d+ points", message).group(1))
-        assert error > 0.0
-        assert abs(val - skewt_renyi(case1, 2.0)) <= error
 
 
 def fresh(p):
@@ -263,6 +237,23 @@ def fresh(p):
 
 def no_quadrature(*args, **kwargs):
     raise AssertionError("the quadrature ran again")
+
+
+class TestQuadratureFailure:
+    @pytest.mark.parametrize("name", ["case1", "case2", "case3"])
+    @pytest.mark.parametrize("entropy", [
+        lambda p, quad=None: skewt_shannon(p, quad),
+        lambda p, quad=None: skewt_renyi(p, 2.0, quad),
+    ], ids=["shannon", "renyi"])
+    def test_warns_with_an_error_covering_the_gap(self, request, entropy, name):
+        p = fresh(request.getfixturevalue(name))
+        with pytest.warns(QuadratureWarning, match="did not reach the requested tolerance") as record:
+            starved = entropy(p, STARVED)
+        assert p._corrections == {}
+        message = next(str(w.message) for w in record if w.category is QuadratureWarning)
+        error = float(re.search(r"error estimate (\S+) over \d+ points", message).group(1))
+        assert error > 0.0
+        assert abs(starved - entropy(p)) <= error
 
 
 KEPT_CALLS = (
@@ -286,9 +277,9 @@ class TestKeptCorrections:
     def test_starved_calls_warn_every_time_and_keep_nothing(self, case1):
         p = fresh(case1)
         for _ in range(2):
-            with pytest.warns(QuadratureWarning, match="Monte Carlo fallback"):
+            with pytest.warns(QuadratureWarning, match="Shannon skewness correction did not reach"):
                 skew_correction(p, STARVED)
-            with pytest.warns(QuadratureWarning, match="did not reach the requested tolerance"):
+            with pytest.warns(QuadratureWarning, match="order-alpha power expectation did not reach"):
                 skewt_renyi(p, 2.0, STARVED)
         assert skew_correction(p) == skew_correction(fresh(case1))
         assert skewt_renyi(p, 2.0) == skewt_renyi(fresh(case1), 2.0)
