@@ -160,6 +160,11 @@ def _centered_covariance(m: MixtureParams) -> SpdMatrix:
     return SpdMatrix(acc - np.outer(drift, drift))
 
 
+def _gaussian_upper(m: MixtureParams, cov: SpdMatrix) -> float:
+    """Entropy of the Gaussian with covariance cov, the maximum-entropy upper bound."""
+    return 0.5 * (m.dim * _LOG_2PIE + log_det(cov))
+
+
 def shannon_bounds(
     m: MixtureParams,
     quad: QuadratureSpec | None = None,
@@ -172,8 +177,7 @@ def shannon_bounds(
     digamma = "printed" if convention == "paper" else "halved"
     per_component = [skewt_shannon(c, quad, digamma=digamma) for c in m.components]
     lower = float(np.dot(m.weights, per_component))
-    cov = _centered_covariance(m) if convention == "paper" else mixture_cov(m)
-    upper = 0.5 * (m.dim * _LOG_2PIE + log_det(cov))
+    upper = _gaussian_upper(m, _centered_covariance(m) if convention == "paper" else mixture_cov(m))
     return BoundsReport(lower=lower, upper=upper, per_component=per_component, alpha="shannon")
 
 
@@ -193,13 +197,11 @@ def _logsumexp(terms: np.ndarray) -> float:
     return float(shift + np.log(np.sum(np.exp(terms - shift))))
 
 
-def _renyi_lower_from(m: MixtureParams, alpha: int, rs) -> float:
-    # sum over compositions k of alpha!/prod k_i! prod (w_i e^{(1-alpha)/alpha r_i})^{k_i}
-    # is (sum_i w_i e^{(1-alpha)/alpha r_i})^alpha by the multinomial theorem.
+def _log_power_sum(m: MixtureParams, rs, a: float, b: float) -> float:
+    """ln sum_i w_i^a exp(b R_i) over the components of positive weight."""
     w = np.asarray(m.weights)
     live = w > 0.0
-    terms = np.log(w[live]) + (1.0 - alpha) / alpha * np.asarray(rs)[live]
-    return alpha / (1.0 - alpha) * _logsumexp(terms)
+    return _logsumexp(a * np.log(w[live]) + b * np.asarray(rs)[live])
 
 
 def renyi_lower(m: MixtureParams, alpha, quad: QuadratureSpec | None = None) -> float:
@@ -236,15 +238,6 @@ def _telescoped(m: MixtureParams, alpha: int, rs, order) -> float:
     return (shift + math.log(total)) / (1.0 - alpha)
 
 
-def _renyi_exact_upper_from(m: MixtureParams, alpha: int, rs) -> float:
-    w = np.asarray(m.weights)
-    live = w > 0.0
-    upper = _logsumexp(alpha * np.log(w[live]) + (1.0 - alpha) * np.asarray(rs)[live]) / (1.0 - alpha)
-    if all(c.dof > 2.0 for c in m.components):
-        upper = min(upper, 0.5 * (m.dim * _LOG_2PIE + log_det(mixture_cov(m))))
-    return upper
-
-
 def renyi_upper(m: MixtureParams, alpha, quad: QuadratureSpec | None = None) -> float:
     """Telescoping upper combinator on the mixture Renyi entropy.
 
@@ -278,11 +271,15 @@ def renyi_bounds(
         raise ValueError("convention must be 'paper', 'exact' or 'listed'")
     alpha = _check_alpha_int(alpha)
     rs = [skewt_renyi(c, alpha, quad) for c in m.components]
-    lower = _renyi_lower_from(m, alpha, rs)
+    # The sum over compositions k of alpha!/prod k_i! prod (w_i e^{(1-alpha)/alpha R_i})^{k_i}
+    # is (sum_i w_i e^{(1-alpha)/alpha R_i})^alpha by the multinomial theorem.
+    lower = alpha / (1.0 - alpha) * _log_power_sum(m, rs, 1.0, (1.0 - alpha) / alpha)
     if convention == "paper":
         upper = _telescoped(m, alpha, rs, np.argsort(rs, kind="stable"))
     elif convention == "exact":
-        upper = _renyi_exact_upper_from(m, alpha, rs)
+        upper = _log_power_sum(m, rs, alpha, 1.0 - alpha) / (1.0 - alpha)
+        if all(c.dof > 2.0 for c in m.components):
+            upper = min(upper, _gaussian_upper(m, mixture_cov(m)))
     else:
         lower, upper = sorted((lower, _telescoped(m, alpha, rs, np.arange(len(rs)))))
     return BoundsReport(lower=lower, upper=upper, per_component=rs, alpha=float(alpha))

@@ -17,7 +17,7 @@ import sys
 from . import tables
 from .bounds import renyi_bounds, shannon_bounds
 from .config import DEFAULT_SAMPLES, DEFAULT_SEED, ConfigError, load_config
-from .distributions import mixture_logpdf, sample_mixture
+from .distributions import _check_u64, mixture_logpdf, sample_mixture
 from .entropy import skewt_renyi, skewt_shannon
 from .mc import fat_proposal, is_renyi, mc_renyi, mc_shannon
 from .reports import ReportRow, rows_to_csv, rows_to_json
@@ -36,8 +36,7 @@ def _run_options(args, seed: int, samples: int):
     """Checked seed, samples and threads; --seed and --samples, where given, override the first two."""
     seed = seed if args.seed is None else args.seed
     samples = samples if args.samples is None else args.samples
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"--seed must be an integer in [0, 2**64), got {seed}")
+    _check_u64("--seed", seed)
     if samples < 2:
         raise ValueError(f"--samples must be an integer >= 2, got {samples}")
     if args.threads < 1:
@@ -97,6 +96,11 @@ def _oracle(mixture, alpha, samples, seed, threads, method="mc"):
     return mc_renyi(logpdf, sampler, float(alpha), samples, seed, threads)
 
 
+def _entropy(comp, alpha, quad):
+    """Exact entropy of one component: Shannon for alpha "shannon", else Renyi of order alpha."""
+    return skewt_shannon(comp, quad) if alpha == "shannon" else skewt_renyi(comp, alpha, quad)
+
+
 def _bounds(mixture, alpha, quad, convention):
     if alpha == "shannon":
         return shannon_bounds(mixture, quad, convention=convention)
@@ -123,9 +127,7 @@ def _cmd_entropy(args) -> int:
                     "exact entropies are defined per component; "
                     "use the bounds command for mixtures"
                 )
-            comp = mixture.components[0]
-            value = (skewt_shannon(comp, cfg.quadrature) if alpha == "shannon"
-                     else skewt_renyi(comp, alpha, cfg.quadrature))
+            value = _entropy(mixture.components[0], alpha, cfg.quadrature)
             rows.append(_row(args.label, mixture.components, alpha, approx=value))
             continue
         est = _oracle(mixture, alpha, samples, seed, threads, args.method)
@@ -196,12 +198,7 @@ def _reproduce_table1(filters, tol):
                 continue
             comp = tables.single_case(d, float(v))
             for label, ref in zip(labels, reference[d][v]):
-                if label == "shannon":
-                    value = skewt_shannon(comp)
-                elif label == "inf":
-                    value = skewt_renyi(comp, tables.ALPHA_INF_PROXY)
-                else:
-                    value = skewt_renyi(comp, label)
+                value = _entropy(comp, tables.ALPHA_INF_PROXY if label == "inf" else label, None)
                 # d >= 2 reference rows are informational
                 rows.append(_scored("t1", (comp,), label, value, ref, tol if d == 1 else None))
     return rows

@@ -34,6 +34,8 @@ generation and serial generation agree bit for bit.
 from __future__ import annotations
 
 import math
+import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +66,14 @@ _MASK64 = (1 << 64) - 1
 _ALLOC_TAG = 0xFFFFFFFF_FFFFFFFF
 
 
+def _warn_at_caller(message: str, category: type) -> None:
+    """warnings.warn attributed to the innermost calling frame outside this package."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__", "").startswith(__package__ + "."):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
+
+
 @dataclass(frozen=True)
 class SkewTParams:
     """One skew-t component: location, SPD scale, shape vector, dof.
@@ -71,11 +81,11 @@ class SkewTParams:
     ``mu`` and ``delta`` are copied at construction, so a component never
     changes. What is derived from it is computed on first use and kept on
     the component in private fields: the shape quantities of
-    ``derive_shape``, S^{-1} delta for the log density, and the converged
-    entropy corrections of the ``entropy`` module. A failed derivation is
-    never kept, so it fails again on every call. Threads that use a
-    component first at the same time may each compute a value; they store
-    equal ones, so no lock is needed.
+    ``derive_shape`` and the converged entropy corrections of the
+    ``entropy`` module. A failed derivation is never kept, so it fails
+    again on every call. Threads that use a component first at the same
+    time may each compute a value; they store equal ones, so no lock is
+    needed.
     """
 
     mu: np.ndarray
@@ -83,7 +93,6 @@ class SkewTParams:
     delta: np.ndarray
     dof: float
     _shape: DerivedShape | None = field(default=None, init=False, repr=False, compare=False)
-    _sinv_delta: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _corrections: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -226,10 +235,7 @@ def skewt_logpdf(p: SkewTParams, x) -> float | np.ndarray:
     out = _mt_log_density(p, q)
     if np.any(p.delta):
         v, d = p.dof, p.dim
-        if p._sinv_delta is None:
-            object.__setattr__(p, "_sinv_delta", solve(p.scale, p.delta))
-        lin = (x - p.mu) @ p._sinv_delta
-        arg = lin * np.sqrt((v + d) / (v + q))
+        arg = (x - p.mu) @ solve(p.scale, p.delta) * np.sqrt((v + d) / (v + q))
         out = math.log(2.0) + out + np.log(specfn.student_t_cdf(arg, v + d))
     return float(out) if np.ndim(out) == 0 else out
 
@@ -303,13 +309,20 @@ def _splitmix64(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
+def _check_u64(name: str, value: int) -> None:
+    if not 0 <= value <= _MASK64:
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {value}")
+
+
 def component_seed(seed: int, index: int) -> int:
-    """Derived seed of a mixture component's sampling stream."""
-    return _splitmix64(((seed & _MASK64) ^ _splitmix64(index & _MASK64)))
+    """Derived seed of a mixture component's sampling stream; seed and index lie in [0, 2**64)."""
+    _check_u64("seed", seed)
+    _check_u64("index", index)
+    return _splitmix64(seed ^ _splitmix64(index))
 
 
 def _stream(seed: int, chunk: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, chunk & _MASK64], dtype=np.uint64)
+    key = np.array([seed, chunk], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -331,8 +344,7 @@ def _sample_component_chunk(p: SkewTParams, count: int, rng: np.random.Generator
 def _check_request(n: int, seed: int) -> None:
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
+    _check_u64("seed", seed)
 
 
 def sample_skewt(p: SkewTParams, n: int, seed: int) -> np.ndarray:

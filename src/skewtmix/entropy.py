@@ -28,7 +28,6 @@ gate can quantify them; production callers use the defaults.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,7 +35,7 @@ import numpy as np
 from scipy.special import psi, xlogy
 
 from . import specfn
-from .distributions import SkewTParams, _mt_log_norm, derive_shape
+from .distributions import SkewTParams, _mt_log_norm, _warn_at_caller, derive_shape
 from .linalg import log_det
 
 __all__ = [
@@ -67,12 +66,14 @@ class QuadratureSpec:
     """Tolerances for the 1-D expectations.
 
     ``max_subdivisions`` caps the finest level of the nested rule: its
-    step in t is never below 1 / max_subdivisions.
+    step in t is never below 1 / max_subdivisions. The default lets the
+    rule converge on strongly skewed components (delta' S^-1 delta up to
+    1e6, finest step 1/8192); a rule that converges sooner never reaches it.
     """
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
-    max_subdivisions: int = 200
+    max_subdivisions: int = 12_800
 
     def __post_init__(self):
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
@@ -164,11 +165,10 @@ def _check_renyi_order(v: float, d: int, alpha: float) -> None:
             f"Renyi order too small for tail: need alpha > d/(v+d) = {d / (v + d):.6g}, got {alpha}"
         )
     if alpha > _ALPHA_WARN:
-        warnings.warn(
+        _warn_at_caller(
             f"alpha = {alpha:g} is beyond the supported range; the order-alpha "
             "power integral degenerates",
             RuntimeWarning,
-            stacklevel=3,
         )
 
 
@@ -202,11 +202,10 @@ def _keep_or_warn(p: SkewTParams, key, rule: _Quadrature, what: str, divisor: fl
     if rule.converged:
         p._corrections[key] = value
     else:
-        warnings.warn(
+        _warn_at_caller(
             f"{what} did not reach the requested tolerance: "
             f"error estimate {rule.error / abs(divisor):.3g} over {rule.points} points",
             QuadratureWarning,
-            stacklevel=3,
         )
     return value
 

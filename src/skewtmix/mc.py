@@ -13,13 +13,12 @@ matter how many worker threads evaluate the integrand.
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import CHUNK_SIZE, MixtureParams, SkewTParams
+from .distributions import CHUNK_SIZE, MixtureParams, SkewTParams, _warn_at_caller
 
 __all__ = [
     "Estimate",
@@ -55,33 +54,29 @@ class Estimate:
         return (self.value - k * self.std_error, self.value + k * self.std_error)
 
 
-def _eval_logpdf(logpdf, draws: np.ndarray, threads: int) -> np.ndarray:
-    if threads <= 1 or len(draws) <= CHUNK_SIZE:
-        return np.asarray(logpdf(draws), dtype=float)
-    out = np.empty(len(draws))
-    spans = [(s, min(s + CHUNK_SIZE, len(draws))) for s in range(0, len(draws), CHUNK_SIZE)]
-
-    def work(span):
-        s, e = span
-        out[s:e] = logpdf(draws[s:e])
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(work, spans))
-    return out
-
-
 def _log_densities(sampler, n: int, seed: int, threads: int, *logpdfs) -> list:
-    """Draw n points once and evaluate each log density on them, all finite."""
+    """Draw n points once and evaluate each log density on them, all finite.
+
+    Every log density is evaluated CHUNK_SIZE rows at a time on one pool of
+    ``threads`` workers, each chunk written in place into its output array.
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
     draws = sampler(n, seed)
-    out = []
-    for logpdf in logpdfs:
-        lp = _eval_logpdf(logpdf, draws, threads)
+    out = [np.empty(len(draws)) for _ in logpdfs]
+
+    def work(job):
+        lp, logpdf, start = job
+        lp[start:start + CHUNK_SIZE] = logpdf(draws[start:start + CHUNK_SIZE])
+
+    starts = range(0, len(draws), CHUNK_SIZE)
+    jobs = [(lp, logpdf, start) for lp, logpdf in zip(out, logpdfs) for start in starts]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(work, jobs))
+    for lp in out:
         bad = np.flatnonzero(~np.isfinite(lp))
         if bad.size:
             raise ArithmeticError(f"non-finite log density at draw index {int(bad[0])}")
-        out.append(lp)
     return out
 
 
@@ -121,10 +116,9 @@ def _renyi_estimate(logs: np.ndarray, alpha: float, seed: int, method: str) -> E
         ess = float(np.sum(scaled) ** 2 / np.sum(scaled * scaled))
         low = ess < ESS_RATIO_FLOOR * n
         if low:
-            warnings.warn(
+            _warn_at_caller(
                 f"effective sample size {ess:.1f} below {ESS_RATIO_FLOOR:.0%} of n = {n}",
                 LowEffectiveSampleSize,
-                stacklevel=3,
             )
     return Estimate(
         value=(shift + math.log(mean)) / (1.0 - alpha),

@@ -305,6 +305,18 @@ class TestSamplers:
             sample_mixture(mix, 10, seed)
         assert sample_skewt(case1, 10, 2**64 - 1).shape == (10, 1)
 
+    @pytest.mark.parametrize("seed, index", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+    def test_component_seed_outside_64_bits_rejected(self, seed, index):
+        # such arguments used to alias: component_seed(-1, 0) == component_seed(2**64 - 1, 0)
+        with pytest.raises(ValueError, match="must be an integer in"):
+            component_seed(seed, index)
+
+    def test_component_seed_edges_accepted(self):
+        # 2**64 - 1 is also the index of the allocation stream
+        edges = [component_seed(s, i) for s in (0, 2**64 - 1) for i in (0, 2**64 - 1)]
+        assert len(set(edges)) == 4
+        assert all(0 <= s < 2**64 for s in edges)
+
     def test_mixture_single_component_stream(self, case1):
         mix = make_mixture([case1], [1.0])
         a = sample_mixture(mix, CHUNK_SIZE + 100, 77)

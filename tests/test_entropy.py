@@ -1,10 +1,12 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special, stats
 
+from skewtmix.bounds import renyi_bounds, renyi_large_alpha_approx, shannon_bounds
 from skewtmix.distributions import sample_skewt, skewt_logpdf
 from skewtmix.entropy import (
     QuadratureSpec,
@@ -16,8 +18,9 @@ from skewtmix.entropy import (
     skewt_renyi,
     skewt_shannon,
 )
+from skewtmix.mc import LowEffectiveSampleSize, is_renyi
 
-from conftest import make_component
+from conftest import make_component, make_mixture
 
 
 def quad_entropy_1d(p):
@@ -184,6 +187,45 @@ class TestSkewtRenyi:
         assert skewt_renyi(case1, alpha) == pytest.approx(expected, abs=1e-9)
 
 
+def split_quad(f):
+    """Integral of f over the real line, split at 0 where the skew factor steps."""
+    kw = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
+    return integrate.quad(f, -np.inf, 0.0, **kw)[0] + integrate.quad(f, 0.0, np.inf, **kw)[0]
+
+
+def reference_correction(p, order):
+    """The Shannon correction, or the Renyi one in nats, by scipy quadrature."""
+    v, d, dd = p.dof, p.dim, float(p.delta @ np.linalg.solve(p.scale.entries, p.delta))
+    s = math.sqrt((v + d) * dd)
+    if order == "shannon":
+        w = v + d - 1.0
+
+        def f(y):
+            g2 = 2.0 * special.stdtr(v + d, s * y / math.hypot(math.sqrt(w), y))
+            return stats.t.pdf(y, w) * special.xlogy(g2, g2)
+
+        return split_quad(f)
+    den = order * (v + d) - 1.0
+
+    def g(x):
+        return stats.t.pdf(x, den) * special.stdtr(v + d, s * x / math.hypot(math.sqrt(den), x)) ** order
+
+    return (order * math.log(2.0) + math.log(split_quad(g))) / (1.0 - order)
+
+
+class TestStronglySkewed:
+    # Near a step at 0, these integrands need steps finer than 1/128 in t.
+    @pytest.mark.parametrize("order", ["shannon", 2.0])
+    @pytest.mark.parametrize("dd", [1e4, 1e6])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_default_spec_converges(self, d, dd, order):
+        p = make_component(np.zeros(d), np.eye(d), np.r_[math.sqrt(dd), np.zeros(d - 1)], 3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", QuadratureWarning)
+            value = skew_correction(p) if order == "shannon" else skewt_renyi(p, order) - mt_renyi(p, order)
+        assert value == pytest.approx(reference_correction(p, order), abs=1e-12)
+
+
 class TestInvariants:
     @pytest.mark.parametrize("dof", [3.0, 5.0, 12.0])
     @pytest.mark.parametrize("scale", [1.0, 1.5])
@@ -301,3 +343,37 @@ class TestKeptCorrections:
         assert len(set(values)) == 3
         for kwargs, value in zip(({"variant": "frozen"}, {"variant": "printed"}, {"quad": loose}), values):
             assert correction(p, **kwargs) == value == correction(fresh(case2), **kwargs)
+
+
+def solo(p):
+    return make_mixture([p], [1.0])
+
+
+def low_ess_estimate(p):
+    narrow = make_component(p.mu, 1e-4 * p.scale.entries, np.zeros(p.dim), 50.0)
+    return is_renyi(lambda x: skewt_logpdf(p, x), lambda x: skewt_logpdf(narrow, x),
+                    lambda n, s: sample_skewt(narrow, n, s), 2.0, 50_000, 44)
+
+
+WARNING_CALLS = {
+    "skewt_shannon": (QuadratureWarning, lambda p: skewt_shannon(p, STARVED)),
+    "skew_correction": (QuadratureWarning, lambda p: skew_correction(p, STARVED)),
+    "skewt_renyi": (QuadratureWarning, lambda p: skewt_renyi(p, 2.0, STARVED)),
+    "skewt_renyi_large_order": (RuntimeWarning, lambda p: skewt_renyi(p, 2e4)),
+    "mt_renyi_large_order": (RuntimeWarning, lambda p: mt_renyi(p, 2e4)),
+    "power_integral_constant_large_order": (RuntimeWarning, lambda p: power_integral_constant(p, 2e4)),
+    "shannon_bounds": (QuadratureWarning, lambda p: shannon_bounds(solo(p), STARVED)),
+    "renyi_bounds": (QuadratureWarning, lambda p: renyi_bounds(solo(p), 2, STARVED)),
+    "renyi_bounds_large_order": (RuntimeWarning, lambda p: renyi_bounds(solo(p), 20_000)),
+    "renyi_large_alpha_approx": (QuadratureWarning, lambda p: renyi_large_alpha_approx(solo(p), 2, STARVED)),
+    "is_renyi": (LowEffectiveSampleSize, low_ess_estimate),
+}
+
+
+@pytest.mark.parametrize("category, call", WARNING_CALLS.values(), ids=WARNING_CALLS.keys())
+def test_warnings_point_at_the_caller(case1, category, call):
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        call(fresh(case1))
+    assert any(w.category is category for w in record)
+    assert [w.filename for w in record] == [__file__] * len(record)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from skewtmix.distributions import (
+    CHUNK_SIZE,
     mixture_logpdf,
     sample_mixture,
     sample_skewt,
@@ -125,6 +126,32 @@ class TestDeterminism:
             ),
         }
         assert calls[estimator](1) == calls[estimator](4)
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_chunked_equals_whole_array_reduction(self, mix_d1_m2, threads):
+        # 3.5 chunks of draws; the reference evaluates each log density on all of them at once
+        n, seed, alpha = 3 * CHUNK_SIZE + CHUNK_SIZE // 2, 36, 3.0
+        proposal = fat_proposal(mix_d1_m2)
+        lp = mixture_logpdf(mix_d1_m2, sample_mixture(mix_d1_m2, n, seed))
+        draws = sample_mixture(proposal, n, seed)
+        lt, lq = mixture_logpdf(mix_d1_m2, draws), mixture_logpdf(proposal, draws)
+
+        def renyi(logs):
+            scaled = np.exp(logs - np.max(logs))
+            mean = float(np.mean(scaled))
+            value = (float(np.max(logs)) + math.log(mean)) / (1.0 - alpha)
+            std_error = float(np.std(scaled) / (mean * math.sqrt(n))) / abs(1.0 - alpha)
+            return value, std_error, float(np.sum(scaled) ** 2 / np.sum(scaled * scaled))
+
+        target = lambda x: mixture_logpdf(mix_d1_m2, x)  # noqa: E731
+        sampler = lambda k, s: sample_mixture(mix_d1_m2, k, s)  # noqa: E731
+        shannon = mc_shannon(target, sampler, n, seed, threads)
+        assert (shannon.value, shannon.std_error) == (float(-np.mean(lp)), float(np.std(lp) / math.sqrt(n)))
+        plain = mc_renyi(target, sampler, alpha, n, seed, threads)
+        assert (plain.value, plain.std_error) == renyi((alpha - 1.0) * lp)[:2]
+        importance = is_renyi(target, lambda x: mixture_logpdf(proposal, x),
+                              lambda k, s: sample_mixture(proposal, k, s), alpha, n, seed, threads)
+        assert (importance.value, importance.std_error, importance.ess) == renyi(alpha * lt - lq)
 
     def test_se_scaling(self):
         small = mc_shannon(gauss_logpdf, gauss_sampler, 250_000, 35)
