@@ -6,9 +6,8 @@ for integer order pair a telescoping upper combinator with a
 multinomial-Holder lower bound. That bound is the multinomial expansion
 of (sum w_i ||f_i||_alpha)^alpha, which by the multinomial theorem is
 evaluated in closed form as one log-sum over the components, so no
-composition is enumerated. The composition cap belongs to
-``enumerate_compositions``; the large-order approximation, its only
-caller here, uses the default ``DEFAULT_COMPOSITION_CAP``.
+composition is enumerated. Only the large-order approximation enumerates
+compositions, up to the fixed ``DEFAULT_COMPOSITION_CAP``.
 
 Two conventions are exposed for the Shannon bounds:
 
@@ -49,7 +48,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .distributions import MixtureParams, mixture_cov, skewt_mean
+from .distributions import MixtureParams, _require_dof, mixture_cov, skewt_mean
 from .entropy import QuadratureSpec, skewt_renyi, skewt_shannon
 from .linalg import SpdMatrix, log_det
 
@@ -108,19 +107,19 @@ def composition_count(m: int, alpha: int) -> int:
     return math.comb(alpha + m - 1, m - 1)
 
 
-def enumerate_compositions(
-    m: int, alpha: int, cap: int = DEFAULT_COMPOSITION_CAP
-) -> Iterator[Composition]:
+def enumerate_compositions(m: int, alpha: int) -> Iterator[Composition]:
     """Yield every composition of alpha into m nonnegative parts once.
 
     Lexicographic in the parts tuple; coefficients are exact integers.
+    alpha = 0 yields the one all-zero composition. More than
+    ``DEFAULT_COMPOSITION_CAP`` compositions raise ``CompositionCapError``.
     """
-    if m < 1 or alpha < 1:
-        raise ValueError("need m >= 1 and alpha >= 1")
+    if m < 1 or alpha < 0:
+        raise ValueError("need m >= 1 and alpha >= 0")
     total = composition_count(m, alpha)
-    if total > cap:
+    if total > DEFAULT_COMPOSITION_CAP:
         raise CompositionCapError(
-            f"composition count {total} exceeds the cap {cap} for m={m}, alpha={alpha}"
+            f"composition count {total} exceeds the cap {DEFAULT_COMPOSITION_CAP} for m={m}, alpha={alpha}"
         )
     fact_alpha = math.factorial(alpha)
 
@@ -139,14 +138,6 @@ def enumerate_compositions(
             parts.pop()
 
     yield from rec(alpha, [])
-
-
-def _require_dof(m: MixtureParams, minimum: float, what: str) -> None:
-    for i, comp in enumerate(m.components):
-        if comp.dof <= minimum:
-            raise ValueError(
-                f"{what} needs dof > {minimum} in every component; component {i} has dof = {comp.dof}"
-            )
 
 
 def _centered_covariance(m: MixtureParams) -> SpdMatrix:
@@ -173,7 +164,7 @@ def shannon_bounds(
     """Shannon entropy bounds for a mixture, in nats."""
     if convention not in ("paper", "exact"):
         raise ValueError("convention must be 'paper' or 'exact'")
-    _require_dof(m, 2.0, "the covariance upper bound")
+    _require_dof(m, 2, "covariance")
     digamma = "printed" if convention == "paper" else "halved"
     per_component = [skewt_shannon(c, quad, digamma=digamma) for c in m.components]
     lower = float(np.dot(m.weights, per_component))
@@ -326,8 +317,7 @@ def renyi_large_alpha_approx(
     ratio = (1.0 - alpha) / alpha
     terms = []
     # parts shifted down by one; at alpha = m only the all-ones composition exists
-    shifted = enumerate_compositions(n, alpha - n) if alpha > n else [Composition((0,) * n, 1)]
-    for comp in shifted:
+    for comp in enumerate_compositions(n, alpha - n):
         acc = 0.0
         for i, part in enumerate(comp.parts):
             k = part + 1  # strictly positive parts

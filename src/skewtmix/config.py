@@ -106,14 +106,10 @@ def parse_config(document: dict) -> ModelConfig:
 
     if "weights" in document:
         weights = _vector(document["weights"], "weights")
-        if len(weights) != len(components):
-            raise ConfigError(
-                "weights", f"{len(components)} components but {len(weights)} weights"
-            )
-    else:
-        if len(components) != 1:
-            raise ConfigError("weights", "required when more than one component is given")
+    elif len(components) == 1:
         weights = np.array([1.0])
+    else:
+        raise ConfigError("weights", "required when more than one component is given")
     try:
         mixture = MixtureParams(components=tuple(components), weights=weights)
     except ValueError as exc:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specfn
-from .linalg import SpdMatrix, log_det, quad_form, solve, solve_lower_batch
+from .linalg import SpdMatrix, log_det, quad_form, solve
 
 __all__ = [
     "SkewTParams",
@@ -133,15 +133,12 @@ class DerivedShape:
 
 
 def _standardize(p: SkewTParams) -> DerivedShape:
-    if not np.any(p.delta):
-        delta_hat, dd = np.zeros(p.dim), 0.0
-    else:
-        # An overflowing dd is rejected below, not reported by numpy.
-        with np.errstate(over="ignore"):
-            dd = float(quad_form(p.scale, p.delta))
-        if not np.isfinite(dd) or dd < 0.0:
-            raise ValueError(f"shape standardization failed: delta'S^-1 delta = {dd}")
-        delta_hat = p.delta / math.sqrt(1.0 + dd)
+    # An overflowing dd is rejected below, not reported by numpy.
+    with np.errstate(over="ignore"):
+        dd = float(quad_form(p.scale, p.delta))
+    if not np.isfinite(dd) or dd < 0.0:
+        raise ValueError(f"shape standardization failed: delta'S^-1 delta = {dd}")
+    delta_hat = p.delta / math.sqrt(1.0 + dd)
     delta_hat.setflags(write=False)
     return DerivedShape(delta_hat=delta_hat, dd=dd)
 
@@ -200,13 +197,6 @@ def _check_x(p: SkewTParams, x) -> np.ndarray:
     return x
 
 
-def _mahalanobis(p: SkewTParams, x):
-    """Checked x and Q = (x - mu)' S^{-1} (x - mu)."""
-    x = _check_x(p, x)
-    z = solve_lower_batch(p.scale.cholesky_factor, x - p.mu)
-    return x, np.sum(z * z, axis=-1)
-
-
 def _mt_log_norm(v: float, d: int, logdet: float) -> float:
     """ln of the multivariate t density's normalising constant.
 
@@ -224,18 +214,18 @@ def _mt_log_density(p: SkewTParams, q):
 
 def mt_logpdf(p: SkewTParams, x) -> float | np.ndarray:
     """Multivariate t log density (the shape vector is ignored)."""
-    _, q = _mahalanobis(p, x)
-    out = _mt_log_density(p, q)
+    out = _mt_log_density(p, quad_form(p.scale, _check_x(p, x) - p.mu))
     return float(out) if np.ndim(out) == 0 else out
 
 
 def skewt_logpdf(p: SkewTParams, x) -> float | np.ndarray:
     """Skew-t log density; reduces exactly to mt_logpdf when delta = 0."""
-    x, q = _mahalanobis(p, x)
+    z = _check_x(p, x) - p.mu
+    q = quad_form(p.scale, z)
     out = _mt_log_density(p, q)
     if np.any(p.delta):
         v, d = p.dof, p.dim
-        arg = (x - p.mu) @ solve(p.scale, p.delta) * np.sqrt((v + d) / (v + q))
+        arg = z @ solve(p.scale, p.delta) * np.sqrt((v + d) / (v + q))
         out = math.log(2.0) + out + np.log(specfn.student_t_cdf(arg, v + d))
     return float(out) if np.ndim(out) == 0 else out
 
@@ -279,19 +269,22 @@ def skewt_cov(p: SkewTParams) -> SpdMatrix:
     return SpdMatrix(cov)
 
 
+def _require_dof(m: MixtureParams, minimum: int, what: str) -> None:
+    """Raise ValueError naming the first component whose dof does not exceed minimum."""
+    for i, comp in enumerate(m.components):
+        if comp.dof <= minimum:
+            raise ValueError(f"{what} undefined: component {i} has dof = {comp.dof} (needs dof > {minimum})")
+
+
 def mixture_mean(m: MixtureParams) -> np.ndarray:
     """Weighted mean of the component means; all dof must exceed 1."""
-    for i, comp in enumerate(m.components):
-        if comp.dof <= 1.0:
-            raise ValueError(f"mean undefined: component {i} has dof = {comp.dof} (needs dof > 1)")
+    _require_dof(m, 1, "mean")
     return sum(w * skewt_mean(c) for w, c in zip(m.weights, m.components))
 
 
 def mixture_cov(m: MixtureParams) -> SpdMatrix:
     """Mixture covariance by the law of total variance; all dof must exceed 2."""
-    for i, comp in enumerate(m.components):
-        if comp.dof <= 2.0:
-            raise ValueError(f"covariance undefined: component {i} has dof = {comp.dof} (needs dof > 2)")
+    _require_dof(m, 2, "covariance")
     d = m.dim
     second = np.zeros((d, d))
     mean = np.zeros(d)

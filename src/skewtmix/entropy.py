@@ -55,6 +55,8 @@ _ALPHA_WARN = 1e4
 # Nodes span t in [-5, 5], |x - x0| up to ~1e50 scales, past which a dof-v t tail holds ~1e-50v.
 _DE_T_MAX = 5.0
 _DE_FIRST_STEP = 0.125
+# Most nodes the peak probe of skewt_renyi may take; its count grows as sqrt(alpha).
+_PROBE_MAX_NODES = 1 << 16
 
 
 class QuadratureWarning(UserWarning):
@@ -303,6 +305,11 @@ def skewt_renyi(
     # A probe of step <= 1/4 on [0, reach] finds the peak and its curvature.
     reach = math.sqrt(dof_x * math.expm1(2.0 * alpha * _LN2 / (dof_x + 1.0)))
     n = math.ceil(4.0 * reach)
+    if n + 3 > _PROBE_MAX_NODES:
+        raise ValueError(
+            f"Renyi order alpha = {alpha:g} is too large: the peak probe would need {n + 3} nodes "
+            f"(at most {_PROBE_MAX_NODES})"
+        )
     step = reach / n
     probe = step * np.arange(-1, n + 2)
     logs = log_integrand(probe)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from .distributions import MixtureParams, SkewTParams
-from .linalg import SpdMatrix
 
 __all__ = [
     "single_case",
@@ -45,12 +44,7 @@ REFERENCE_LARGE_ALPHA_LIMIT = 1.2311  # quoted limit for the d=1 case
 
 
 def _comp(mu, scale, delta, dof) -> SkewTParams:
-    return SkewTParams(
-        mu=np.atleast_1d(np.asarray(mu, dtype=float)),
-        scale=SpdMatrix(np.atleast_2d(np.asarray(scale, dtype=float))),
-        delta=np.atleast_1d(np.asarray(delta, dtype=float)),
-        dof=float(dof),
-    )
+    return SkewTParams(mu=mu, scale=np.atleast_2d(scale), delta=delta, dof=dof)
 
 
 def single_case(d: int, dof: float) -> SkewTParams:

@@ -49,9 +49,14 @@ class TestCompositions:
         assert seen == sorted(seen)
         assert all(sum(p) == 5 for p in seen)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_order_zero_is_the_all_zero_composition(self, m):
+        assert [(c.parts, c.coefficient) for c in enumerate_compositions(m, 0)] == [((0,) * m, 1)]
+
     def test_cap(self):
-        with pytest.raises(CompositionCapError, match="10626"):
-            list(enumerate_compositions(5, 20, cap=10_000))
+        assert composition_count(6, 100) == 96_560_646 > DEFAULT_COMPOSITION_CAP
+        with pytest.raises(CompositionCapError, match="96560646"):
+            next(enumerate_compositions(6, 100))
 
 
 @pytest.fixture(scope="module")
@@ -94,8 +99,9 @@ class TestShannonBounds:
     def test_dof_guard(self, case1):
         shallow = make_component([0.0], [[1.0]], [0.5], 2.0)
         mix = make_mixture([case1, shallow], [0.5, 0.5])
-        with pytest.raises(ValueError, match="component 1"):
+        with pytest.raises(ValueError) as info:
             shannon_bounds(mix)
+        assert str(info.value) == "covariance undefined: component 1 has dof = 2.0 (needs dof > 2)"
 
     def test_permutation_invariance(self, mixtures):
         mix = mixtures[3]
@@ -197,13 +203,23 @@ class TestRenyiBounds:
 
 
 def quadrature_renyi(mix, alpha):
-    """(1/(1-alpha)) ln of the mixture's order-alpha power integral on the line."""
+    """(1/(1-alpha)) ln of the mixture's order-alpha power integral on the line.
 
-    def power(x):
-        return math.exp(alpha * float(mixture_logpdf(mix, np.array([[x]]))[0]))
+    Adaptive quadrature split at the component locations, with the integrand
+    scaled by its largest value there so that high orders do not underflow.
+    """
+    locs = sorted({float(c.mu[0]) for c in mix.components})
 
-    value, _ = integrate.quad(power, -np.inf, np.inf, limit=200)
-    return math.log(value) / (1.0 - alpha)
+    def log_power(x):
+        return alpha * float(mixture_logpdf(mix, np.array([[x]]))[0])
+
+    shift = max(log_power(x) for x in locs)
+    edges = [-np.inf, *locs, np.inf]
+    value = sum(
+        integrate.quad(lambda x: math.exp(log_power(x) - shift), a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        for a, b in zip(edges, edges[1:])
+    )
+    return (shift + math.log(value)) / (1.0 - alpha)
 
 
 class TestRenyiConventions:
@@ -341,6 +357,16 @@ class TestLargeAlphaApprox:
         mix = make_mixture([case1, broken], [0.5, 0.5])
         with pytest.raises(ValueError, match="shape standardization failed"):
             renyi_large_alpha_approx(mix, 4)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("alpha", [10, 15, 20, 30])
+    def test_below_the_exact_lower_bound(self, mixtures, m, alpha):
+        # the stated error: the form lies 0.019-0.081 below the valid lower bound
+        # and 0.30-0.47 below the quadrature truth on these cells
+        truth = quadrature_renyi(mixtures[m], alpha)
+        report = renyi_bounds(mixtures[m], alpha, convention="exact")
+        assert report.lower <= truth <= report.upper
+        assert renyi_large_alpha_approx(mixtures[m], alpha) < report.lower
 
     def test_within_widened_bounds(self, mixtures):
         alpha = 20

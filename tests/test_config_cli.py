@@ -72,6 +72,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="weights"):
             parse_config({**MIX_M2, "weights": [0.5, 0.6]})
 
+    def test_weight_count_mismatch(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config({**MIX_M2, "weights": [1.0]})
+        assert str(info.value) == "weights: 2 components but 1 weights"
+
     @pytest.mark.parametrize("seed", [-5, -1, 2**64])
     def test_seed_outside_64_bits_rejected(self, seed):
         with pytest.raises(ConfigError, match=r"^seed: expected an integer in \[0, 2\*\*64\)"):

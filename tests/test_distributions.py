@@ -203,6 +203,18 @@ class TestLogpdfs:
         with pytest.raises(ValueError, match="dimension mismatch"):
             skewt_logpdf(case2, np.zeros(3))
 
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("logpdf", ["mt", "skewt", "mixture"])
+    def test_last_axis_must_match_dimension(self, case2, logpdf, width):
+        # an (n, 1) batch would otherwise broadcast against the d = 2 location
+        fn, law = {
+            "mt": (mt_logpdf, case2),
+            "skewt": (skewt_logpdf, case2),
+            "mixture": (mixture_logpdf, make_mixture([case2], [1.0])),
+        }[logpdf]
+        with pytest.raises(ValueError, match=f"dimension mismatch: x has {width}, expected 2"):
+            fn(law, np.zeros((5, width)))
+
 
 class TestMoments:
     def test_zero_shape_mean(self):

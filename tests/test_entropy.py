@@ -177,6 +177,12 @@ class TestSkewtRenyi:
         with pytest.warns(RuntimeWarning, match="beyond the supported range"):
             skewt_renyi(case1, 2e4)
 
+    def test_order_too_large_for_the_peak_probe(self, case1):
+        # the probe would need 5,148,758 nodes; 2**16 is the most it may take
+        with pytest.warns(RuntimeWarning, match="beyond the supported range"):
+            with pytest.raises(ValueError, match=r"alpha = 1e\+12 is too large: the peak probe would need 5148758 nodes"):
+                skewt_renyi(case1, 1e12)
+
     @pytest.mark.parametrize(
         "alpha, expected",
         [(100.0, 1.2128805633577888), (1000.0, 1.1910433754930791), (5000.0, 1.1882572454028546)],
