@@ -50,7 +50,10 @@ class ModelConfig:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(path, "integer too large to convert to float") from None
 
 
 def _vector(value, path: str) -> np.ndarray:
@@ -130,11 +133,10 @@ def parse_config(document: dict) -> ModelConfig:
         unknown = set(raw_quad) - {"abs_tol", "rel_tol"}
         if unknown:
             raise ConfigError("quadrature", f"unknown field(s): {sorted(unknown)}")
+        abs_tol = _number(raw_quad.get("abs_tol", quad.abs_tol), "quadrature.abs_tol")
+        rel_tol = _number(raw_quad.get("rel_tol", quad.rel_tol), "quadrature.rel_tol")
         try:
-            quad = QuadratureSpec(
-                abs_tol=_number(raw_quad.get("abs_tol", quad.abs_tol), "quadrature.abs_tol"),
-                rel_tol=_number(raw_quad.get("rel_tol", quad.rel_tol), "quadrature.rel_tol"),
-            )
+            quad = QuadratureSpec(abs_tol=abs_tol, rel_tol=rel_tol)
         except ValueError as exc:
             raise ConfigError("quadrature", str(exc)) from exc
 

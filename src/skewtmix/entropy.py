@@ -27,6 +27,7 @@ gate can quantify them; production callers use the defaults.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -55,6 +56,8 @@ _ALPHA_WARN = 1e4
 # Nodes span t in [-5, 5], |x - x0| up to ~1e50 scales, past which a dof-v t tail holds ~1e-50v.
 _DE_T_MAX = 5.0
 _DE_FIRST_STEP = 0.125
+# Levels the first integrand call evaluates: steps 1/8, 1/16 and 1/32 (321 nodes).
+_DE_FIRST_LEVELS = 3
 # Most nodes the peak probe of skewt_renyi may take; its count grows as sqrt(alpha).
 _PROBE_MAX_NODES = 1 << 16
 
@@ -94,6 +97,35 @@ class _Quadrature(NamedTuple):
     converged: bool
 
 
+@functools.cache
+def _level(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cosh t, cosh u, sinh u), u = pi/2 sinh t, at the nodes t that level k adds; read-only.
+
+    Level k has step h = 1/2^(k+3) on |t| <= 5: level 0 holds every multiple
+    of h, each later level the odd ones.
+    """
+    h = _DE_FIRST_STEP / 2**k
+    n = round(_DE_T_MAX / h)
+    j = np.arange(-n, n + 1)
+    t = h * (j if k == 0 else j[1::2])
+    u = _HALF_PI * np.sinh(t)
+    table = (np.cosh(t), np.cosh(u), np.sinh(u))
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+@functools.cache
+def _first_levels(levels: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], tuple[slice, ...]]:
+    """The tables of levels 0 .. levels-1 joined in order (read-only), and each level's slice of them."""
+    tables = [_level(k) for k in range(levels)]
+    joined = tuple(np.concatenate(col) for col in zip(*tables))
+    for arr in joined:
+        arr.setflags(write=False)
+    edges = np.cumsum([0] + [table[0].size for table in tables]).tolist()
+    return joined, tuple(map(slice, edges[:-1], edges[1:]))
+
+
 def _sinh_sinh(fn, x0: float, scale: float, spec: QuadratureSpec, *, log: bool = False) -> _Quadrature:
     """Integral of fn over the real line by the nested sinh-sinh rule.
 
@@ -101,28 +133,34 @@ def _sinh_sinh(fn, x0: float, scale: float, spec: QuadratureSpec, *, log: bool =
     rule in t after x = x0 + scale sinh(pi/2 sinh t). ``fn`` maps an array
     of nodes to integrand values, or to their logs with ``log=True``, which
     returns the log of the integral. The first call covers the steps 1/4
-    and 1/8; each further level halves the step and adds the odd nodes,
+    to 1/32, or as many of them as ``max_subdivisions`` lets the rule
+    reach; each further level halves the step and adds the odd nodes,
     until the last two levels, whose difference is the error, agree.
+    ``points`` counts the nodes evaluated.
     """
     shift = None
 
-    def terms(t):
+    def terms(cosh_t, cosh_u, sinh_u):
         nonlocal shift
-        u = _HALF_PI * np.sinh(t)
-        jac = scale * _HALF_PI * np.cosh(t) * np.cosh(u)
-        vals = fn(x0 + scale * np.sinh(u))
+        jac = scale * _HALF_PI * cosh_t * cosh_u
+        vals = fn(x0 + scale * sinh_u)
         if not log:
             return vals * jac
         logs = vals + np.log(jac)
         if shift is None:
-            shift = float(np.max(logs))
+            shift = float(np.max(logs[slices[0]]))
         return np.exp(logs - shift)
 
-    h = _DE_FIRST_STEP
-    n = round(_DE_T_MAX / h)
-    f = terms(h * np.arange(-n, n + 1))
+    # The level after step h is reached only while h * max_subdivisions >= 2.
+    levels = 1
+    while levels < _DE_FIRST_LEVELS and _DE_FIRST_STEP / 2 ** (levels - 1) * spec.max_subdivisions >= 2.0:
+        levels += 1
+    table, slices = _first_levels(levels)
+    block = terms(*table)
+    points = block.size
+    h, k = _DE_FIRST_STEP, 0
+    f = block[slices[0]]
     coarse, fine = 2.0 * h * float(np.sum(f[::2])), h * float(np.sum(f))
-    points = f.size
     while True:
         if log:
             value, error = shift + math.log(fine), abs(math.log(fine / coarse))
@@ -131,11 +169,13 @@ def _sinh_sinh(fn, x0: float, scale: float, spec: QuadratureSpec, *, log: bool =
         converged = error <= max(spec.abs_tol, spec.rel_tol * abs(value))
         if converged or h * spec.max_subdivisions < 2.0:
             return _Quadrature(value, error, points, converged)
-        h /= 2.0
-        f = terms(h * (2.0 * np.arange(-n, n) + 1.0))
+        h, k = h / 2.0, k + 1
+        if k < levels:
+            f = block[slices[k]]
+        else:
+            f = terms(*_level(k))
+            points += f.size
         coarse, fine = fine, 0.5 * fine + h * float(np.sum(f))
-        points += f.size
-        n *= 2
 
 
 def _digamma_term(v: float, d: int, halved: bool) -> float:

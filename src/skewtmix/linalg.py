@@ -1,7 +1,9 @@
 """Dense symmetric positive definite matrix helpers for small dimensions.
 
 Scale matrices in this package are tiny (d up to roughly 10). The
-factorizations come from numpy.linalg and scipy.linalg; this module adds
+factorizations come from numpy.linalg; triangular solves call LAPACK
+``trtrs`` directly, through ``scipy.linalg.get_lapack_funcs``, without the
+checks and dispatch of ``scipy.linalg.solve_triangular``. This module adds
 input validation, the batched (..., d) layout, and one error type for
 matrices that are not positive definite.
 """
@@ -91,7 +93,11 @@ def log_det(s) -> float:
 def _solve_triangular_batch(lower: np.ndarray, b, trans: int) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     flat = b.reshape(-1, lower.shape[0])
-    out = linalg.solve_triangular(lower, flat.T, trans=trans, lower=True, check_finite=False)
+    (trtrs,) = linalg.get_lapack_funcs(("trtrs",), (lower, flat))
+    # LAPACK reads the C-ordered L as the upper factor L' in Fortran order.
+    out, info = trtrs(lower.T, flat.T, lower=0, trans=1 - trans)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed: LAPACK trtrs info = {info}")
     return out.T.reshape(b.shape)
 
 

@@ -36,11 +36,11 @@ def _apply(fn, name: str, positive: tuple, unit: str = "", **args):
     arrays = []
     for key, value in args.items():
         arr = np.asarray(value, dtype=float)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError(f"{name} requires finite {key}, got {value!r}")
-        if key in positive and np.any(arr <= 0.0):
+        if key in positive and (arr <= 0.0).any():
             raise ValueError(f"{name} requires {key} > 0, got {value!r}")
-        if key == unit and np.any((arr < 0.0) | (arr > 1.0)):
+        if key == unit and ((arr < 0.0) | (arr > 1.0)).any():
             raise ValueError(f"{name} requires 0 <= {key} <= 1, got {value!r}")
         arrays.append(arr)
     out = fn(*arrays)

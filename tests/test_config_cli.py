@@ -72,6 +72,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="weights"):
             parse_config({**MIX_M2, "weights": [0.5, 0.6]})
 
+    # 10**400 has 401 digits: a valid JSON integer that no float can hold.
+    @pytest.mark.parametrize("doc, path", [
+        ({"components": [{**CASE1["components"][0], "mu": [10**400]}]}, "components[0].mu[0]"),
+        ({"components": [{**CASE1["components"][0], "dof": -10**400}]}, "components[0].dof"),
+        ({**MIX_M2, "weights": [0.5, 10**400]}, "weights[1]"),
+        ({**CASE1, "quadrature": {"abs_tol": 10**400}}, "quadrature.abs_tol"),
+    ], ids=["mu", "dof", "weights", "abs_tol"])
+    def test_integer_too_large_for_a_float_names_its_path(self, doc, path):
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert str(info.value) == f"{path}: integer too large to convert to float"
+
     def test_weight_count_mismatch(self):
         with pytest.raises(ConfigError) as info:
             parse_config({**MIX_M2, "weights": [1.0]})
@@ -145,6 +157,12 @@ class TestEntropyCommand:
         code, _, err = run_cli(capsys, "entropy", cfg)
         assert code == 1
         assert "not positive definite" in err
+
+    def test_integer_too_large_for_a_float_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"components": [{**CASE1["components"][0], "mu": [10**400]}]})
+        code, out, err = run_cli(capsys, "entropy", cfg)
+        assert (code, out) == (1, "")
+        assert err == "error: components[0].mu[0]: integer too large to convert to float\n"
 
     def test_exact_rejects_mixture(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MIX_M2)

@@ -1,11 +1,15 @@
 import math
 import re
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from skewtmix import entropy as entropy_module
+from skewtmix import specfn, tables
 from skewtmix.bounds import renyi_bounds, renyi_large_alpha_approx, shannon_bounds
 from skewtmix.distributions import sample_skewt, skewt_logpdf
 from skewtmix.entropy import (
@@ -349,6 +353,126 @@ class TestKeptCorrections:
         assert len(set(values)) == 3
         for kwargs, value in zip(({"variant": "frozen"}, {"variant": "printed"}, {"quad": loose}), values):
             assert correction(p, **kwargs) == value == correction(fresh(case2), **kwargs)
+
+
+def sequential_sinh_sinh(fn, x0, scale, spec, *, log=False):
+    """The nested sinh-sinh rule evaluated level by level, one integrand call per level.
+
+    The reference that ``_sinh_sinh``, which evaluates its first levels in
+    one call, must match bit for bit.
+    """
+    shift = None
+
+    def terms(t):
+        nonlocal shift
+        u = 0.5 * math.pi * np.sinh(t)
+        jac = scale * (0.5 * math.pi) * np.cosh(t) * np.cosh(u)
+        vals = fn(x0 + scale * np.sinh(u))
+        if not log:
+            return vals * jac
+        logs = vals + np.log(jac)
+        if shift is None:
+            shift = float(np.max(logs))
+        return np.exp(logs - shift)
+
+    h, n = 0.125, 40
+    f = terms(h * np.arange(-n, n + 1))
+    coarse, fine = 2.0 * h * float(np.sum(f[::2])), h * float(np.sum(f))
+    while True:
+        if log:
+            value, error = shift + math.log(fine), abs(math.log(fine / coarse))
+        else:
+            value, error = fine, abs(fine - coarse)
+        converged = error <= max(spec.abs_tol, spec.rel_tol * abs(value))
+        if converged or h * spec.max_subdivisions < 2.0:
+            return value, error, converged
+        h /= 2.0
+        f = terms(h * (2.0 * np.arange(-n, n) + 1.0))
+        coarse, fine = fine, 0.5 * fine + h * float(np.sum(f))
+        n *= 2
+
+
+def spy_rules(monkeypatch):
+    """Record (arguments, nodes seen, result) of every _sinh_sinh call from now on."""
+    real = entropy_module._sinh_sinh
+    calls = []
+
+    def spy(fn, x0, scale, spec, *, log=False):
+        sizes = []
+
+        def counted(x):
+            sizes.append(x.size)
+            return fn(x)
+
+        rule = real(counted, x0, scale, spec, log=log)
+        calls.append(((fn, x0, scale, spec), {"log": log}, sizes, rule))
+        return rule
+
+    monkeypatch.setattr(entropy_module, "_sinh_sinh", spy)
+    return calls
+
+
+RULE_ENTROPIES = {
+    "shannon": lambda p, quad: skewt_shannon(p, quad),
+    "renyi2": lambda p, quad: skewt_renyi(p, 2.0, quad),
+    "renyi30": lambda p, quad: skewt_renyi(p, 30.0, quad),
+}
+
+
+class TestRuleBookkeeping:
+    """The first three levels share one integrand call without changing a bit."""
+
+    @pytest.mark.parametrize("spec", [None, STARVED], ids=["default", "starved"])
+    @pytest.mark.parametrize("kind", RULE_ENTROPIES)
+    @pytest.mark.parametrize("name", ["case1", "case2", "case3"])
+    def test_equals_the_sequential_rule(self, request, monkeypatch, name, kind, spec):
+        calls = spy_rules(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuadratureWarning)
+            RULE_ENTROPIES[kind](fresh(request.getfixturevalue(name)), spec)
+        (args, kwargs, _, rule), = calls
+        assert (rule.value, rule.error, rule.converged) == sequential_sinh_sinh(*args, **kwargs)
+        assert rule.converged == (spec is None)
+
+    @pytest.mark.parametrize("spec, nodes", [
+        (STARVED, 81),
+        (QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=20), 161),
+        (QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=40), 321),
+    ], ids=["starved", "two-levels", "three-levels"])
+    @pytest.mark.parametrize("kind", RULE_ENTROPIES)
+    def test_first_call_stops_at_the_last_reachable_level(self, monkeypatch, case2, kind, spec, nodes):
+        calls = spy_rules(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuadratureWarning)
+            RULE_ENTROPIES[kind](fresh(case2), spec)
+        (_, _, sizes, rule), = calls
+        assert sizes == [nodes] and rule.points == nodes
+
+    def test_cold_threads_equal_serial(self, case1, case2, case3):
+        skewed = make_component([0.0, 1.0], np.eye(2), [100.0, 0.0], 3.0)
+        jobs = [(p, kind) for p in (case1, case2, case3, skewed) for kind in RULE_ENTROPIES] * 3
+        serial = [RULE_ENTROPIES[kind](fresh(p), None) for p, kind in jobs]
+        entropy_module._level.cache_clear()
+        entropy_module._first_levels.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(RULE_ENTROPIES[kind], fresh(p), None) for p, kind in jobs]
+                threaded = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    # A perf guard without timing: a cold call makes one integrand call for the
+    # first three levels, plus the peak probe of the Renyi rule.
+    @pytest.mark.parametrize("kind, calls", [("shannon", 1), ("renyi2", 2)])
+    def test_cold_call_counts_of_the_t_cdf(self, monkeypatch, kind, calls):
+        seen = []
+        real = specfn.student_t_cdf
+        monkeypatch.setattr(specfn, "student_t_cdf", lambda x, v: seen.append(np.size(x)) or real(x, v))
+        RULE_ENTROPIES[kind](tables.single_case(1, 3.0), None)
+        assert len(seen) == calls
 
 
 def solo(p):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from skewtmix.linalg import (
     NotPositiveDefiniteError,
@@ -10,6 +11,8 @@ from skewtmix.linalg import (
     log_det,
     quad_form,
     solve,
+    solve_lower_batch,
+    solve_upper_batch,
     sqrt_spd,
 )
 
@@ -83,6 +86,24 @@ class TestSolve:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             solve(np.eye(2), np.ones(3))
+
+
+class TestTriangularSolves:
+    @pytest.mark.parametrize("batch", [(), (0,), (7,), (2, 3), (70000,)], ids=str)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bit_identical_to_solve_triangular(self, d, batch):
+        rng = np.random.default_rng(d)
+        lower = cholesky(random_spd(rng, d))
+        b = rng.standard_normal(batch + (d,))
+        for solver, trans in ((solve_lower_batch, 0), (solve_upper_batch, 1)):
+            expected = linalg.solve_triangular(lower, b.reshape(-1, d).T, trans=trans, lower=True).T
+            got = solver(lower, b)
+            assert got.shape == b.shape
+            assert got.tobytes() == expected.reshape(b.shape).tobytes()
+
+    def test_singular_factor_raises(self):
+        with pytest.raises(np.linalg.LinAlgError, match="trtrs info = 2"):
+            solve_lower_batch(np.array([[1.0, 0.0], [2.0, 0.0]]), np.ones(2))
 
 
 class TestQuadForm:
