@@ -34,7 +34,6 @@ from .distributions import (
     skewt_mean,
 )
 from .entropy import (
-    QuadratureSpec,
     mt_renyi,
     mt_shannon,
     power_integral_constant,
@@ -57,7 +56,6 @@ __all__ = [
     "MixtureParams",
     "ModelConfig",
     "NotPositiveDefiniteError",
-    "QuadratureSpec",
     "SkewTParams",
     "SpdMatrix",
     "derive_shape",

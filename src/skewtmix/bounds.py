@@ -49,7 +49,7 @@ from typing import Iterator
 import numpy as np
 
 from .distributions import MixtureParams, _require_dof, mixture_cov, skewt_mean
-from .entropy import QuadratureSpec, skewt_renyi, skewt_shannon
+from .entropy import skewt_renyi, skewt_shannon
 from .linalg import SpdMatrix, log_det
 
 __all__ = [
@@ -156,17 +156,13 @@ def _gaussian_upper(m: MixtureParams, cov: SpdMatrix) -> float:
     return 0.5 * (m.dim * _LOG_2PIE + log_det(cov))
 
 
-def shannon_bounds(
-    m: MixtureParams,
-    quad: QuadratureSpec | None = None,
-    convention: str = "paper",
-) -> BoundsReport:
+def shannon_bounds(m: MixtureParams, *, convention: str = "paper") -> BoundsReport:
     """Shannon entropy bounds for a mixture, in nats."""
     if convention not in ("paper", "exact"):
         raise ValueError("convention must be 'paper' or 'exact'")
     _require_dof(m, 2, "covariance")
     digamma = "printed" if convention == "paper" else "halved"
-    per_component = [skewt_shannon(c, quad, digamma=digamma) for c in m.components]
+    per_component = [skewt_shannon(c, digamma=digamma) for c in m.components]
     lower = float(np.dot(m.weights, per_component))
     upper = _gaussian_upper(m, _centered_covariance(m) if convention == "paper" else mixture_cov(m))
     return BoundsReport(lower=lower, upper=upper, per_component=per_component, alpha="shannon")
@@ -195,13 +191,13 @@ def _log_power_sum(m: MixtureParams, rs, a: float, b: float) -> float:
     return _logsumexp(a * np.log(w[live]) + b * np.asarray(rs)[live])
 
 
-def renyi_lower(m: MixtureParams, alpha, quad: QuadratureSpec | None = None) -> float:
+def renyi_lower(m: MixtureParams, alpha) -> float:
     """Multinomial-Holder lower bound on the mixture Renyi entropy; valid for every convention.
 
     Evaluated in closed form: alpha/(1-alpha) ln sum_i w_i exp((1-alpha)/alpha R_alpha(f_i)),
     which is the multinomial expansion of (sum_i w_i ||f_i||_alpha)^alpha.
     """
-    return renyi_bounds(m, alpha, quad).lower
+    return renyi_bounds(m, alpha).lower
 
 
 def _telescoped(m: MixtureParams, alpha: int, rs, order) -> float:
@@ -229,7 +225,7 @@ def _telescoped(m: MixtureParams, alpha: int, rs, order) -> float:
     return (shift + math.log(total)) / (1.0 - alpha)
 
 
-def renyi_upper(m: MixtureParams, alpha, quad: QuadratureSpec | None = None) -> float:
+def renyi_upper(m: MixtureParams, alpha) -> float:
     """Telescoping upper combinator on the mixture Renyi entropy.
 
     Components are sorted by non-increasing order-alpha power integral so
@@ -238,15 +234,10 @@ def renyi_upper(m: MixtureParams, alpha, quad: QuadratureSpec | None = None) -> 
     ignores component locations, and separated mixtures exceed it. Use
     ``renyi_bounds(..., convention="exact").upper`` for a valid upper bound.
     """
-    return renyi_bounds(m, alpha, quad).upper
+    return renyi_bounds(m, alpha).upper
 
 
-def renyi_bounds(
-    m: MixtureParams,
-    alpha,
-    quad: QuadratureSpec | None = None,
-    convention: str = "paper",
-) -> BoundsReport:
+def renyi_bounds(m: MixtureParams, alpha, *, convention: str = "paper") -> BoundsReport:
     """Renyi lower and upper values plus their midpoint, in one report.
 
     ``convention="exact"`` gives valid bounds on both sides. The default
@@ -261,7 +252,7 @@ def renyi_bounds(
     if convention not in ("paper", "exact", "listed"):
         raise ValueError("convention must be 'paper', 'exact' or 'listed'")
     alpha = _check_alpha_int(alpha)
-    rs = [skewt_renyi(c, alpha, quad) for c in m.components]
+    rs = [skewt_renyi(c, alpha) for c in m.components]
     # The sum over compositions k of alpha!/prod k_i! prod (w_i e^{(1-alpha)/alpha R_i})^{k_i}
     # is (sum_i w_i e^{(1-alpha)/alpha R_i})^alpha by the multinomial theorem.
     lower = alpha / (1.0 - alpha) * _log_power_sum(m, rs, 1.0, (1.0 - alpha) / alpha)
@@ -276,11 +267,7 @@ def renyi_bounds(
     return BoundsReport(lower=lower, upper=upper, per_component=rs, alpha=float(alpha))
 
 
-def renyi_large_alpha_approx(
-    m: MixtureParams,
-    alpha,
-    quad: QuadratureSpec | None = None,
-) -> float:
+def renyi_large_alpha_approx(m: MixtureParams, alpha) -> float:
     """Large-order approximation over strictly positive compositions.
 
     Each term is prod_i gamma_i^{-k_i} eps_i^{k_i}
@@ -309,9 +296,7 @@ def renyi_large_alpha_approx(
     def component_entropy(i: int, k: int) -> float:
         if (i, k) not in entropies:
             comp = live[i][1]
-            entropies[(i, k)] = (
-                skewt_shannon(comp, quad) if k == 1 else skewt_renyi(comp, float(k), quad)
-            )
+            entropies[(i, k)] = skewt_shannon(comp) if k == 1 else skewt_renyi(comp, float(k))
         return entropies[(i, k)]
 
     ratio = (1.0 - alpha) / alpha

@@ -96,15 +96,15 @@ def _oracle(mixture, alpha, samples, seed, threads, method="mc"):
     return mc_renyi(logpdf, sampler, float(alpha), samples, seed, threads)
 
 
-def _entropy(comp, alpha, quad):
+def _entropy(comp, alpha):
     """Exact entropy of one component: Shannon for alpha "shannon", else Renyi of order alpha."""
-    return skewt_shannon(comp, quad) if alpha == "shannon" else skewt_renyi(comp, alpha, quad)
+    return skewt_shannon(comp) if alpha == "shannon" else skewt_renyi(comp, alpha)
 
 
-def _bounds(mixture, alpha, quad, convention):
+def _bounds(mixture, alpha, convention):
     if alpha == "shannon":
-        return shannon_bounds(mixture, quad, convention=convention)
-    return renyi_bounds(mixture, alpha, quad, convention=convention)
+        return shannon_bounds(mixture, convention=convention)
+    return renyi_bounds(mixture, alpha, convention=convention)
 
 
 def _bounds_row(case, mixture, report, est, **cells) -> ReportRow:
@@ -127,7 +127,7 @@ def _cmd_entropy(args) -> int:
                     "exact entropies are defined per component; "
                     "use the bounds command for mixtures"
                 )
-            value = _entropy(mixture.components[0], alpha, cfg.quadrature)
+            value = _entropy(mixture.components[0], alpha)
             rows.append(_row(args.label, mixture.components, alpha, approx=value))
             continue
         est = _oracle(mixture, alpha, samples, seed, threads, args.method)
@@ -143,7 +143,7 @@ def _cmd_bounds(args) -> int:
     cfg, seed, samples, threads, alphas = _load_run(args)
     rows = []
     for alpha in alphas:
-        report = _bounds(cfg.mixture, alpha, cfg.quadrature, args.convention)
+        report = _bounds(cfg.mixture, alpha, args.convention)
         est = _oracle(cfg.mixture, alpha, samples, seed, threads) if args.oracle else None
         rows.append(_bounds_row(args.label, cfg.mixture, report, est))
     _emit(rows, args.out, args.out_file)
@@ -198,7 +198,7 @@ def _reproduce_table1(filters, tol):
                 continue
             comp = tables.single_case(d, float(v))
             for label, ref in zip(labels, reference[d][v]):
-                value = _entropy(comp, tables.ALPHA_INF_PROXY if label == "inf" else label, None)
+                value = _entropy(comp, tables.ALPHA_INF_PROXY if label == "inf" else label)
                 # d >= 2 reference rows are informational
                 rows.append(_scored("t1", (comp,), label, value, ref, tol if d == 1 else None))
     return rows
@@ -212,7 +212,7 @@ def _reference_rows(case, ms, orders, convention, reference, filters, tol):
             continue
         mixture = tables.mixture_d1(m)
         for alpha in orders:
-            report = _bounds(mixture, alpha, None, convention)
+            report = _bounds(mixture, alpha, convention)
             for quantity, computed, ref, cell_tol in zip(
                 ("lower", "upper", "approx", "halfwidth"),
                 (report.lower, report.upper, report.approx, report.half_width),
@@ -233,7 +233,7 @@ def _property_rows(case, shapes, orders, filters, seed, samples, threads):
                 continue
             mixture = tables.builtin_mixture(f"d{d}_m{m}")
             for alpha in orders:
-                report = _bounds(mixture, alpha, None, "exact")
+                report = _bounds(mixture, alpha, "exact")
                 est = _oracle(mixture, alpha, samples, seed, threads)
                 inside = (report.lower - 3 * est.std_error <= est.value
                           <= report.upper + 3 * est.std_error)

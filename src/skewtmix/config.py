@@ -8,8 +8,7 @@ A config document looks like
       ],
       "weights": [1.0],
       "seed": 20240601,
-      "samples": 1000000,
-      "quadrature": {"abs_tol": 1e-9, "rel_tol": 1e-9}
+      "samples": 1000000
     }
 
 ``weights`` may be omitted for a single component. Validation errors name
@@ -24,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import MixtureParams, SkewTParams
-from .entropy import QuadratureSpec
 from .linalg import SpdMatrix
 
 __all__ = ["ConfigError", "ModelConfig", "load_config", "parse_config"]
@@ -44,7 +42,6 @@ class ModelConfig:
     mixture: MixtureParams
     seed: int = DEFAULT_SEED
     samples: int = DEFAULT_SAMPLES
-    quadrature: QuadratureSpec = QuadratureSpec()
 
 
 def _number(value, path: str) -> float:
@@ -99,7 +96,7 @@ def parse_config(document: dict) -> ModelConfig:
     """Validate a decoded JSON document into a ModelConfig."""
     if not isinstance(document, dict):
         raise ConfigError("$", "top level must be an object")
-    unknown = set(document) - {"components", "weights", "seed", "samples", "quadrature"}
+    unknown = set(document) - {"components", "weights", "seed", "samples"}
     if unknown:
         raise ConfigError("$", f"unknown field(s): {sorted(unknown)}")
     raw_components = document.get("components")
@@ -125,22 +122,7 @@ def parse_config(document: dict) -> ModelConfig:
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 2:
         raise ConfigError("samples", f"expected an integer >= 2, got {samples!r}")
 
-    quad = QuadratureSpec()
-    if "quadrature" in document:
-        raw_quad = document["quadrature"]
-        if not isinstance(raw_quad, dict):
-            raise ConfigError("quadrature", "expected an object")
-        unknown = set(raw_quad) - {"abs_tol", "rel_tol"}
-        if unknown:
-            raise ConfigError("quadrature", f"unknown field(s): {sorted(unknown)}")
-        abs_tol = _number(raw_quad.get("abs_tol", quad.abs_tol), "quadrature.abs_tol")
-        rel_tol = _number(raw_quad.get("rel_tol", quad.rel_tol), "quadrature.rel_tol")
-        try:
-            quad = QuadratureSpec(abs_tol=abs_tol, rel_tol=rel_tol)
-        except ValueError as exc:
-            raise ConfigError("quadrature", str(exc)) from exc
-
-    return ModelConfig(mixture=mixture, seed=seed, samples=samples, quadrature=quad)
+    return ModelConfig(mixture=mixture, seed=seed, samples=samples)
 
 
 def load_config(path: str) -> ModelConfig:
@@ -148,6 +130,6 @@ def load_config(path: str) -> ModelConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             document = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also integer literals past int's digit limit
             raise ConfigError("$", f"invalid JSON: {exc}") from exc
     return parse_config(document)

@@ -6,11 +6,11 @@ a Student t weight, evaluated on arrays by a nested double-exponential
 rule.
 
 A converged correction is kept on its component, keyed by the order (or
-Shannon), the ``QuadratureSpec`` and the variant, and later calls with the
-same key reuse it. Order validation, the large-order warning and the
-closed-form part run on every call. A rule that did not converge keeps
-nothing: its value is returned with a ``QuadratureWarning`` quoting its
-error estimate, so the warning recurs on every call.
+Shannon) and the variant, and later calls with the same key reuse it.
+Order validation, the large-order warning and the closed-form part run on
+every call. A rule that did not converge keeps nothing: its value is
+returned with a ``QuadratureWarning`` quoting its error estimate, so the
+warning recurs on every call.
 
 Two printed-formula ambiguities were resolved against an independent
 Monte Carlo oracle and frozen (see the test suite's resolution gate):
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +39,6 @@ from .distributions import SkewTParams, _mt_log_norm, _warn_at_caller, derive_sh
 from .linalg import log_det
 
 __all__ = [
-    "QuadratureSpec",
     "QuadratureWarning",
     "mt_shannon",
     "mt_renyi",
@@ -58,36 +56,15 @@ _DE_T_MAX = 5.0
 _DE_FIRST_STEP = 0.125
 # Levels the first integrand call evaluates: steps 1/8, 1/16 and 1/32 (321 nodes).
 _DE_FIRST_LEVELS = 3
+# The finest step in t (81,921 nodes in all): fine enough for delta' S^-1 delta up to 1e6.
+_DE_MIN_STEP = 1.0 / 8192
+_ABS_TOL = _REL_TOL = 1e-9
 # Most nodes the peak probe of skewt_renyi may take; its count grows as sqrt(alpha).
 _PROBE_MAX_NODES = 1 << 16
 
 
 class QuadratureWarning(UserWarning):
     pass
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances for the 1-D expectations.
-
-    ``max_subdivisions`` caps the finest level of the nested rule: its
-    step in t is never below 1 / max_subdivisions. The default lets the
-    rule converge on strongly skewed components (delta' S^-1 delta up to
-    1e6, finest step 1/8192); a rule that converges sooner never reaches it.
-    """
-
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 12_800
-
-    def __post_init__(self):
-        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
-            raise ValueError("tolerances must be finite and positive")
-        if self.max_subdivisions < 10:
-            raise ValueError("max_subdivisions must be at least 10")
-
-
-_DEFAULT_SPEC = QuadratureSpec()
 
 
 class _Quadrature(NamedTuple):
@@ -116,9 +93,9 @@ def _level(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _first_levels(levels: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], tuple[slice, ...]]:
-    """The tables of levels 0 .. levels-1 joined in order (read-only), and each level's slice of them."""
-    tables = [_level(k) for k in range(levels)]
+def _first_levels() -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], tuple[slice, ...]]:
+    """The tables of the first _DE_FIRST_LEVELS levels joined in order (read-only), and each level's slice of them."""
+    tables = [_level(k) for k in range(_DE_FIRST_LEVELS)]
     joined = tuple(np.concatenate(col) for col in zip(*tables))
     for arr in joined:
         arr.setflags(write=False)
@@ -126,16 +103,16 @@ def _first_levels(levels: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray
     return joined, tuple(map(slice, edges[:-1], edges[1:]))
 
 
-def _sinh_sinh(fn, x0: float, scale: float, spec: QuadratureSpec, *, log: bool = False) -> _Quadrature:
+def _sinh_sinh(fn, x0: float, scale: float, *, log: bool = False) -> _Quadrature:
     """Integral of fn over the real line by the nested sinh-sinh rule.
 
     The double-exponential rule of Takahasi & Mori (1974): the trapezoid
     rule in t after x = x0 + scale sinh(pi/2 sinh t). ``fn`` maps an array
     of nodes to integrand values, or to their logs with ``log=True``, which
-    returns the log of the integral. The first call covers the steps 1/4
-    to 1/32, or as many of them as ``max_subdivisions`` lets the rule
-    reach; each further level halves the step and adds the odd nodes,
-    until the last two levels, whose difference is the error, agree.
+    returns the log of the integral. The first call evaluates the levels of
+    steps 1/8, 1/16 and 1/32; each further level halves the step and adds
+    the odd nodes, until the last two levels, whose difference is the
+    error, agree within the tolerances or the step reaches 1/8192.
     ``points`` counts the nodes evaluated.
     """
     shift = None
@@ -151,11 +128,7 @@ def _sinh_sinh(fn, x0: float, scale: float, spec: QuadratureSpec, *, log: bool =
             shift = float(np.max(logs[slices[0]]))
         return np.exp(logs - shift)
 
-    # The level after step h is reached only while h * max_subdivisions >= 2.
-    levels = 1
-    while levels < _DE_FIRST_LEVELS and _DE_FIRST_STEP / 2 ** (levels - 1) * spec.max_subdivisions >= 2.0:
-        levels += 1
-    table, slices = _first_levels(levels)
+    table, slices = _first_levels()
     block = terms(*table)
     points = block.size
     h, k = _DE_FIRST_STEP, 0
@@ -166,11 +139,11 @@ def _sinh_sinh(fn, x0: float, scale: float, spec: QuadratureSpec, *, log: bool =
             value, error = shift + math.log(fine), abs(math.log(fine / coarse))
         else:
             value, error = fine, abs(fine - coarse)
-        converged = error <= max(spec.abs_tol, spec.rel_tol * abs(value))
-        if converged or h * spec.max_subdivisions < 2.0:
+        converged = error <= max(_ABS_TOL, _REL_TOL * abs(value))
+        if converged or h == _DE_MIN_STEP:
             return _Quadrature(value, error, points, converged)
         h, k = h / 2.0, k + 1
-        if k < levels:
+        if k < _DE_FIRST_LEVELS:
             f = block[slices[k]]
         else:
             f = terms(*_level(k))
@@ -252,12 +225,7 @@ def _keep_or_warn(p: SkewTParams, key, rule: _Quadrature, what: str, divisor: fl
     return value
 
 
-def skew_correction(
-    p: SkewTParams,
-    quad: QuadratureSpec | None = None,
-    *,
-    variant: str = "frozen",
-) -> float:
+def skew_correction(p: SkewTParams, *, variant: str = "frozen") -> float:
     """Amount by which the shape vector lowers the Shannon entropy.
 
     The correction is the expectation, under Y ~ t_{v+d-1}, of
@@ -270,11 +238,10 @@ def skew_correction(
     coincides with the frozen one in dimension 1.
     """
     _check_variant(variant)
-    spec = quad or _DEFAULT_SPEC
     dd = derive_shape(p).dd
     if dd == 0.0:
         return 0.0
-    key = ("shannon", spec, variant)
+    key = ("shannon", variant)
     if key in p._corrections:
         return p._corrections[key]
     v, d = p.dof, p.dim
@@ -288,28 +255,16 @@ def skew_correction(
         wt = 2.0 * specfn.student_t_cdf(math.sqrt(dd) * y * np.sqrt((v + 1.0) / (v + y * y)), v + 1.0)
         return xlogy(wt, g2)
 
-    rule = _sinh_sinh(lambda y: np.exp(specfn.student_t_logpdf(y, w)) * fn(y), 0.0, 1.0, spec)
+    rule = _sinh_sinh(lambda y: np.exp(specfn.student_t_logpdf(y, w)) * fn(y), 0.0, 1.0)
     return _keep_or_warn(p, key, rule, "Shannon skewness correction")
 
 
-def skewt_shannon(
-    p: SkewTParams,
-    quad: QuadratureSpec | None = None,
-    *,
-    digamma: str = "halved",
-    variant: str = "frozen",
-) -> float:
+def skewt_shannon(p: SkewTParams, *, digamma: str = "halved", variant: str = "frozen") -> float:
     """Shannon entropy of the skew-t, in nats."""
-    return mt_shannon(p, digamma=digamma) - skew_correction(p, quad, variant=variant)
+    return mt_shannon(p, digamma=digamma) - skew_correction(p, variant=variant)
 
 
-def skewt_renyi(
-    p: SkewTParams,
-    alpha: float,
-    quad: QuadratureSpec | None = None,
-    *,
-    variant: str = "frozen",
-) -> float:
+def skewt_renyi(p: SkewTParams, alpha: float, *, variant: str = "frozen") -> float:
     """Renyi entropy of the skew-t, in nats.
 
     Adds to the symmetric-t value the correction
@@ -321,13 +276,12 @@ def skewt_renyi(
     alpha(v+d)-d instead (identical in dimension 1).
     """
     _check_variant(variant)
-    spec = quad or _DEFAULT_SPEC
     v, d = p.dof, p.dim
     base = power_integral_constant(p, alpha) / (1.0 - alpha)
     dd = derive_shape(p).dd
     if dd == 0.0:
         return base
-    key = (alpha, spec, variant)
+    key = (alpha, variant)
     if key in p._corrections:
         return base + p._corrections[key]
     den = alpha * (v + d) - 1.0
@@ -359,5 +313,5 @@ def skewt_renyi(
     curvature = (2.0 * logs[j] - logs[j - 1] - logs[j + 1]) / step**2
     scale = 1.0 / math.sqrt(curvature) if 0.0 < curvature < math.inf else 1.0
 
-    rule = _sinh_sinh(log_integrand, float(probe[j]), scale, spec, log=True)
+    rule = _sinh_sinh(log_integrand, float(probe[j]), scale, log=True)
     return base + _keep_or_warn(p, key, rule, "order-alpha power expectation", 1.0 - alpha)

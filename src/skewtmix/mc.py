@@ -50,9 +50,6 @@ class Estimate:
     ess: float | None = None
     low_ess: bool = False
 
-    def interval(self, k: float = 3.0) -> tuple:
-        return (self.value - k * self.std_error, self.value + k * self.std_error)
-
 
 def _log_densities(sampler, n: int, seed: int, threads: int, *logpdfs) -> list:
     """Draw n points once and evaluate each log density on them, all finite.

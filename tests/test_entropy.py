@@ -13,7 +13,6 @@ from skewtmix import specfn, tables
 from skewtmix.bounds import renyi_bounds, renyi_large_alpha_approx, shannon_bounds
 from skewtmix.distributions import sample_skewt, skewt_logpdf
 from skewtmix.entropy import (
-    QuadratureSpec,
     QuadratureWarning,
     mt_renyi,
     mt_shannon,
@@ -223,6 +222,11 @@ def reference_correction(p, order):
     return (order * math.log(2.0) + math.log(split_quad(g))) / (1.0 - order)
 
 
+def library_correction(p, order):
+    """The Shannon correction, or the Renyi one in nats, as the library computes it."""
+    return skew_correction(p) if order == "shannon" else skewt_renyi(p, order) - mt_renyi(p, order)
+
+
 class TestStronglySkewed:
     # Near a step at 0, these integrands need steps finer than 1/128 in t.
     @pytest.mark.parametrize("order", ["shannon", 2.0])
@@ -232,7 +236,7 @@ class TestStronglySkewed:
         p = make_component(np.zeros(d), np.eye(d), np.r_[math.sqrt(dd), np.zeros(d - 1)], 3.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", QuadratureWarning)
-            value = skew_correction(p) if order == "shannon" else skewt_renyi(p, order) - mt_renyi(p, order)
+            value = library_correction(p, order)
         assert value == pytest.approx(reference_correction(p, order), abs=1e-12)
 
 
@@ -271,20 +275,20 @@ class TestInvariants:
             ]
             assert all(type(v) is float for v in values), [type(v) for v in values]
 
-    def test_quadrature_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=2)
-
-
-# Tolerances no rule can meet within ten subdivisions: forces the failure path.
-STARVED = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=10)
-
 
 def fresh(p):
     """An equal component that has computed nothing yet."""
     return make_component(p.mu, p.scale.entries, p.delta, p.dof)
+
+
+def unresolved(p):
+    """A fresh component of p's dimension whose Shannon and order-2 rules stop short.
+
+    With delta' S^-1 delta = 1e8 at dof 3, the step in the skew factor at 0
+    is too sharp for the finest step 1/8192: both rules warn after 81,921
+    nodes, while the order-30 rule still converges.
+    """
+    return make_component(np.zeros(p.dim), np.eye(p.dim), np.r_[1e4, np.zeros(p.dim - 1)], 3.0)
 
 
 def no_quadrature(*args, **kwargs):
@@ -293,19 +297,16 @@ def no_quadrature(*args, **kwargs):
 
 class TestQuadratureFailure:
     @pytest.mark.parametrize("name", ["case1", "case2", "case3"])
-    @pytest.mark.parametrize("entropy", [
-        lambda p, quad=None: skewt_shannon(p, quad),
-        lambda p, quad=None: skewt_renyi(p, 2.0, quad),
-    ], ids=["shannon", "renyi"])
-    def test_warns_with_an_error_covering_the_gap(self, request, entropy, name):
-        p = fresh(request.getfixturevalue(name))
+    @pytest.mark.parametrize("order", ["shannon", 2.0], ids=["shannon", "renyi"])
+    def test_warns_with_an_error_covering_the_gap(self, request, order, name):
+        p = unresolved(request.getfixturevalue(name))
         with pytest.warns(QuadratureWarning, match="did not reach the requested tolerance") as record:
-            starved = entropy(p, STARVED)
+            value = library_correction(p, order)
         assert p._corrections == {}
         message = next(str(w.message) for w in record if w.category is QuadratureWarning)
-        error = float(re.search(r"error estimate (\S+) over \d+ points", message).group(1))
+        error = float(re.search(r"error estimate (\S+) over 81921 points", message).group(1))
         assert error > 0.0
-        assert abs(starved - entropy(p)) <= error
+        assert abs(value - reference_correction(p, order)) <= error
 
 
 KEPT_CALLS = (
@@ -327,14 +328,15 @@ class TestKeptCorrections:
         assert [f(p) for f in KEPT_CALLS] == first
 
     def test_starved_calls_warn_every_time_and_keep_nothing(self, case1):
-        p = fresh(case1)
+        p = unresolved(case1)
+        values = []
         for _ in range(2):
             with pytest.warns(QuadratureWarning, match="Shannon skewness correction did not reach"):
-                skew_correction(p, STARVED)
+                values.append(skew_correction(p))
             with pytest.warns(QuadratureWarning, match="order-alpha power expectation did not reach"):
-                skewt_renyi(p, 2.0, STARVED)
-        assert skew_correction(p) == skew_correction(fresh(case1))
-        assert skewt_renyi(p, 2.0) == skewt_renyi(fresh(case1), 2.0)
+                values.append(skewt_renyi(p, 2.0))
+        assert p._corrections == {}
+        assert values[:2] == values[2:]
 
     def test_large_order_warning_repeats(self, case1):
         p = fresh(case1)
@@ -346,16 +348,15 @@ class TestKeptCorrections:
         lambda p, **kw: skew_correction(p, **kw),
         lambda p, **kw: skewt_renyi(p, 3.0, **kw),
     ])
-    def test_each_variant_and_spec_keeps_its_own_value(self, case2, correction):
-        loose = QuadratureSpec(abs_tol=1e-4, rel_tol=1e-4)
+    def test_each_variant_keeps_its_own_value(self, case2, correction):
         p = fresh(case2)
-        values = [correction(p, variant="frozen"), correction(p, variant="printed"), correction(p, quad=loose)]
-        assert len(set(values)) == 3
-        for kwargs, value in zip(({"variant": "frozen"}, {"variant": "printed"}, {"quad": loose}), values):
-            assert correction(p, **kwargs) == value == correction(fresh(case2), **kwargs)
+        values = [correction(p, variant="frozen"), correction(p, variant="printed")]
+        assert values[0] != values[1]
+        for variant, value in zip(("frozen", "printed"), values):
+            assert correction(p, variant=variant) == value == correction(fresh(case2), variant=variant)
 
 
-def sequential_sinh_sinh(fn, x0, scale, spec, *, log=False):
+def sequential_sinh_sinh(fn, x0, scale, *, log=False):
     """The nested sinh-sinh rule evaluated level by level, one integrand call per level.
 
     The reference that ``_sinh_sinh``, which evaluates its first levels in
@@ -383,8 +384,8 @@ def sequential_sinh_sinh(fn, x0, scale, spec, *, log=False):
             value, error = shift + math.log(fine), abs(math.log(fine / coarse))
         else:
             value, error = fine, abs(fine - coarse)
-        converged = error <= max(spec.abs_tol, spec.rel_tol * abs(value))
-        if converged or h * spec.max_subdivisions < 2.0:
+        converged = error <= max(1e-9, 1e-9 * abs(value))
+        if converged or h == 1.0 / 8192:
             return value, error, converged
         h /= 2.0
         f = terms(h * (2.0 * np.arange(-n, n) + 1.0))
@@ -397,15 +398,15 @@ def spy_rules(monkeypatch):
     real = entropy_module._sinh_sinh
     calls = []
 
-    def spy(fn, x0, scale, spec, *, log=False):
+    def spy(fn, x0, scale, *, log=False):
         sizes = []
 
         def counted(x):
             sizes.append(x.size)
             return fn(x)
 
-        rule = real(counted, x0, scale, spec, log=log)
-        calls.append(((fn, x0, scale, spec), {"log": log}, sizes, rule))
+        rule = real(counted, x0, scale, log=log)
+        calls.append(((fn, x0, scale), {"log": log}, sizes, rule))
         return rule
 
     monkeypatch.setattr(entropy_module, "_sinh_sinh", spy)
@@ -413,52 +414,38 @@ def spy_rules(monkeypatch):
 
 
 RULE_ENTROPIES = {
-    "shannon": lambda p, quad: skewt_shannon(p, quad),
-    "renyi2": lambda p, quad: skewt_renyi(p, 2.0, quad),
-    "renyi30": lambda p, quad: skewt_renyi(p, 30.0, quad),
+    "shannon": skewt_shannon,
+    "renyi2": lambda p: skewt_renyi(p, 2.0),
+    "renyi30": lambda p: skewt_renyi(p, 30.0),
 }
 
 
 class TestRuleBookkeeping:
     """The first three levels share one integrand call without changing a bit."""
 
-    @pytest.mark.parametrize("spec", [None, STARVED], ids=["default", "starved"])
+    @pytest.mark.parametrize("make", [fresh, unresolved], ids=["default", "starved"])
     @pytest.mark.parametrize("kind", RULE_ENTROPIES)
     @pytest.mark.parametrize("name", ["case1", "case2", "case3"])
-    def test_equals_the_sequential_rule(self, request, monkeypatch, name, kind, spec):
+    def test_equals_the_sequential_rule(self, request, monkeypatch, name, kind, make):
         calls = spy_rules(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", QuadratureWarning)
-            RULE_ENTROPIES[kind](fresh(request.getfixturevalue(name)), spec)
+            RULE_ENTROPIES[kind](make(request.getfixturevalue(name)))
         (args, kwargs, _, rule), = calls
         assert (rule.value, rule.error, rule.converged) == sequential_sinh_sinh(*args, **kwargs)
-        assert rule.converged == (spec is None)
-
-    @pytest.mark.parametrize("spec, nodes", [
-        (STARVED, 81),
-        (QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=20), 161),
-        (QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=40), 321),
-    ], ids=["starved", "two-levels", "three-levels"])
-    @pytest.mark.parametrize("kind", RULE_ENTROPIES)
-    def test_first_call_stops_at_the_last_reachable_level(self, monkeypatch, case2, kind, spec, nodes):
-        calls = spy_rules(monkeypatch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", QuadratureWarning)
-            RULE_ENTROPIES[kind](fresh(case2), spec)
-        (_, _, sizes, rule), = calls
-        assert sizes == [nodes] and rule.points == nodes
+        assert rule.converged == (make is fresh or kind == "renyi30")
 
     def test_cold_threads_equal_serial(self, case1, case2, case3):
         skewed = make_component([0.0, 1.0], np.eye(2), [100.0, 0.0], 3.0)
         jobs = [(p, kind) for p in (case1, case2, case3, skewed) for kind in RULE_ENTROPIES] * 3
-        serial = [RULE_ENTROPIES[kind](fresh(p), None) for p, kind in jobs]
+        serial = [RULE_ENTROPIES[kind](fresh(p)) for p, kind in jobs]
         entropy_module._level.cache_clear()
         entropy_module._first_levels.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(RULE_ENTROPIES[kind], fresh(p), None) for p, kind in jobs]
+                futures = [pool.submit(RULE_ENTROPIES[kind], fresh(p)) for p, kind in jobs]
                 threaded = [future.result(timeout=60) for future in futures]
         finally:
             sys.setswitchinterval(interval)
@@ -471,7 +458,7 @@ class TestRuleBookkeeping:
         seen = []
         real = specfn.student_t_cdf
         monkeypatch.setattr(specfn, "student_t_cdf", lambda x, v: seen.append(np.size(x)) or real(x, v))
-        RULE_ENTROPIES[kind](tables.single_case(1, 3.0), None)
+        RULE_ENTROPIES[kind](tables.single_case(1, 3.0))
         assert len(seen) == calls
 
 
@@ -486,16 +473,16 @@ def low_ess_estimate(p):
 
 
 WARNING_CALLS = {
-    "skewt_shannon": (QuadratureWarning, lambda p: skewt_shannon(p, STARVED)),
-    "skew_correction": (QuadratureWarning, lambda p: skew_correction(p, STARVED)),
-    "skewt_renyi": (QuadratureWarning, lambda p: skewt_renyi(p, 2.0, STARVED)),
+    "skewt_shannon": (QuadratureWarning, lambda p: skewt_shannon(unresolved(p))),
+    "skew_correction": (QuadratureWarning, lambda p: skew_correction(unresolved(p))),
+    "skewt_renyi": (QuadratureWarning, lambda p: skewt_renyi(unresolved(p), 2.0)),
     "skewt_renyi_large_order": (RuntimeWarning, lambda p: skewt_renyi(p, 2e4)),
     "mt_renyi_large_order": (RuntimeWarning, lambda p: mt_renyi(p, 2e4)),
     "power_integral_constant_large_order": (RuntimeWarning, lambda p: power_integral_constant(p, 2e4)),
-    "shannon_bounds": (QuadratureWarning, lambda p: shannon_bounds(solo(p), STARVED)),
-    "renyi_bounds": (QuadratureWarning, lambda p: renyi_bounds(solo(p), 2, STARVED)),
+    "shannon_bounds": (QuadratureWarning, lambda p: shannon_bounds(solo(unresolved(p)))),
+    "renyi_bounds": (QuadratureWarning, lambda p: renyi_bounds(solo(unresolved(p)), 2)),
     "renyi_bounds_large_order": (RuntimeWarning, lambda p: renyi_bounds(solo(p), 20_000)),
-    "renyi_large_alpha_approx": (QuadratureWarning, lambda p: renyi_large_alpha_approx(solo(p), 2, STARVED)),
+    "renyi_large_alpha_approx": (QuadratureWarning, lambda p: renyi_large_alpha_approx(solo(unresolved(p)), 2)),
     "is_renyi": (LowEffectiveSampleSize, low_ess_estimate),
 }
 

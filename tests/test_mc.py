@@ -12,7 +12,6 @@ from skewtmix.distributions import (
 )
 from skewtmix.entropy import mt_renyi, mt_shannon, skewt_renyi
 from skewtmix.mc import (
-    Estimate,
     LowEffectiveSampleSize,
     fat_proposal,
     is_renyi,
@@ -230,9 +229,3 @@ class TestImportanceSampling:
         prop = fat_proposal(mix_d1_m2)
         assert all(c.dof == max(1.0, o.dof / 2.0) for c, o in zip(prop.components, mix_d1_m2.components))
         assert np.array_equal(prop.weights, mix_d1_m2.weights)
-
-
-class TestEstimate:
-    def test_interval(self):
-        est = Estimate(value=1.0, std_error=0.1, n=100, seed=1, method="plain_mc")
-        assert est.interval(2.0) == (0.8, 1.2)
