@@ -2,10 +2,11 @@
 
 Exit codes: 0 on success; 1 on validation or domain errors, among them
 ``--threads`` below 1, ``--samples`` below 2 and ``--seed`` outside
-[0, 2**64) (the config file's rules), a negative or NaN ``--tolerance``
-and a malformed ``--rows`` filter; 2 when a reproduction run's pass rate
-over scored cells drops below the threshold, or on an argparse usage
-error such as a ``--threads`` that is neither an integer nor 'auto'.
+[0, 2**64) (the config file's rules) and a malformed ``--rows`` filter;
+2 when a reproduction run's pass rate over scored cells, at the fixed
+``tables.DEFAULT_TOLERANCE``, drops below the threshold, or on an
+argparse usage error such as a ``--threads`` that is neither an integer
+nor 'auto' or a ``--table`` other than 1, 2 or 3.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ from .mc import fat_proposal, is_renyi, mc_renyi, mc_shannon
 from .reports import ReportRow, rows_to_csv, rows_to_json
 
 PASS_RATE_THRESHOLD = 0.9
+# Largest |value - reference| of a passing reproduce cell (a quarter of it for half-widths).
+_TOL = tables.DEFAULT_TOLERANCE
+# Case label of the rows that the entropy and bounds commands report.
+CONFIG_LABEL = "config"
 
 
 def _threads_arg(raw: str) -> int:
@@ -128,11 +133,11 @@ def _cmd_entropy(args) -> int:
                     "use the bounds command for mixtures"
                 )
             value = _entropy(mixture.components[0], alpha)
-            rows.append(_row(args.label, mixture.components, alpha, approx=value))
+            rows.append(_row(CONFIG_LABEL, mixture.components, alpha, approx=value))
             continue
         est = _oracle(mixture, alpha, samples, seed, threads, args.method)
         rows.append(
-            _row(args.label, mixture.components, alpha,
+            _row(CONFIG_LABEL, mixture.components, alpha,
                  approx=est.value, oracle=est.value, oracle_se=est.std_error)
         )
     _emit(rows, args.out, args.out_file)
@@ -145,7 +150,7 @@ def _cmd_bounds(args) -> int:
     for alpha in alphas:
         report = _bounds(cfg.mixture, alpha, args.convention)
         est = _oracle(cfg.mixture, alpha, samples, seed, threads) if args.oracle else None
-        rows.append(_bounds_row(args.label, cfg.mixture, report, est))
+        rows.append(_bounds_row(CONFIG_LABEL, cfg.mixture, report, est))
     _emit(rows, args.out, args.out_file)
     return 0
 
@@ -182,7 +187,7 @@ def _scored(case, components, alpha, value, ref, tol) -> ReportRow:
                 passed=None if tol is None else diff <= tol)
 
 
-def _reproduce_table1(filters, tol):
+def _reproduce_table1(filters):
     rows = []
     reference = {
         1: tables.REFERENCE_TABLE1_D1,
@@ -200,11 +205,11 @@ def _reproduce_table1(filters, tol):
             for label, ref in zip(labels, reference[d][v]):
                 value = _entropy(comp, tables.ALPHA_INF_PROXY if label == "inf" else label)
                 # d >= 2 reference rows are informational
-                rows.append(_scored("t1", (comp,), label, value, ref, tol if d == 1 else None))
+                rows.append(_scored("t1", (comp,), label, value, ref, _TOL if d == 1 else None))
     return rows
 
 
-def _reference_rows(case, ms, orders, convention, reference, filters, tol):
+def _reference_rows(case, ms, orders, convention, reference, filters):
     """Scored d = 1 rows: lower, upper, approx and, where referenced, the half-width."""
     rows = []
     for m in ms:
@@ -217,7 +222,7 @@ def _reference_rows(case, ms, orders, convention, reference, filters, tol):
                 ("lower", "upper", "approx", "halfwidth"),
                 (report.lower, report.upper, report.approx, report.half_width),
                 reference(m, alpha),
-                (tol, tol, tol, tol / 4.0),
+                (_TOL, _TOL, _TOL, _TOL / 4.0),
             ):
                 rows.append(_scored(f"{case}_{quantity}", mixture.components, report.alpha,
                                     computed, ref, cell_tol))
@@ -245,25 +250,20 @@ def _property_rows(case, shapes, orders, filters, seed, samples, threads):
 
 def _cmd_reproduce(args) -> int:
     filters = _parse_rows_filter(args.rows)
-    tol = args.tolerance
-    if not tol >= 0.0:
-        raise ValueError(f"--tolerance must be a nonnegative number, got {tol}")
     seed, samples, threads = _run_options(args, DEFAULT_SEED, DEFAULT_SAMPLES)
     if args.table == 1:
-        rows = _reproduce_table1(filters, tol)
+        rows = _reproduce_table1(filters)
     elif args.table == 2:
         # the fourth reference entry, the half-width, is not scored for table 2
         rows = _reference_rows("t2", (2, 3, 4, 5), ("shannon",), "paper",
-                               lambda m, _: tables.REFERENCE_TABLE2_D1[m][:3], filters, tol)
+                               lambda m, _: tables.REFERENCE_TABLE2_D1[m][:3], filters)
         rows += _property_rows("t2", ((2, (2, 3, 4, 5)), (3, (2, 3))), ("shannon",),
                                filters, seed, samples, threads)
-    elif args.table == 3:
+    else:
         rows = _reference_rows("t3", (2, 3, 4), tables.TABLE3_ALPHAS, "listed",
-                               lambda m, a: tables.REFERENCE_TABLE3_D1[(m, a)], filters, tol)
+                               lambda m, a: tables.REFERENCE_TABLE3_D1[(m, a)], filters)
         rows += _property_rows("t3", ((2, (2, 3)), (3, (2,))), (2, 5),
                                filters, seed, samples, threads)
-    else:
-        raise ValueError(f"unknown table id {args.table}; expected 1, 2 or 3")
     if not rows:
         raise ValueError("row filter matched nothing")
     _emit(rows, args.out, args.out_file)
@@ -271,7 +271,7 @@ def _cmd_reproduce(args) -> int:
     passed = sum(1 for r in scored if r.passed)
     rate = passed / len(scored) if scored else 1.0
     print(
-        f"summary: {passed}/{len(scored)} scored cells passed at tolerance {tol:g} "
+        f"summary: {passed}/{len(scored)} scored cells passed at tolerance {_TOL:g} "
         f"(pass rate {rate:.1%})",
         file=sys.stderr,
     )
@@ -288,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, needs_config: bool):
         if needs_config:
             p.add_argument("config", help="path to a JSON model config")
-            p.add_argument("--label", default="config", help="case label used in report rows")
         p.add_argument("--seed", type=int)
         p.add_argument("--samples", type=int)
         p.add_argument("--threads", default="auto", type=_threads_arg,
@@ -307,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_bounds, needs_config=True)
     p_bounds.add_argument("--alpha", action="append",
                           help="an integer Renyi order or 'shannon'; repeatable (default shannon)")
-    p_bounds.add_argument("--oracle", action=argparse.BooleanOptionalAction, default=False,
-                          help="also run the Monte Carlo oracle")
+    p_bounds.add_argument("--oracle", action="store_true", help="also run the Monte Carlo oracle")
     p_bounds.add_argument("--convention", choices=("paper", "exact"), default="paper",
                           help="bound convention: 'paper' reproduces the reference tables, "
                                "'exact' gives valid Shannon and Renyi bounds (see bounds module)")
@@ -316,9 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="compare against the bundled reference tables")
     common(p_rep, needs_config=False)
-    p_rep.add_argument("--table", type=int, required=True, help="reference table id: 1, 2 or 3")
+    p_rep.add_argument("--table", type=int, choices=(1, 2, 3), required=True, help="reference table id")
     p_rep.add_argument("--rows", default=None, help="filter like 'd=1' or 'd=1,m=2'")
-    p_rep.add_argument("--tolerance", type=float, default=tables.DEFAULT_TOLERANCE)
     p_rep.set_defaults(func=_cmd_reproduce)
     return parser
 

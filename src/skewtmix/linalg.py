@@ -36,10 +36,10 @@ class NotPositiveDefiniteError(ValueError):
 class SpdMatrix:
     """Symmetric positive definite matrix.
 
-    Input is symmetrized by averaging with its transpose so that matrices
-    round-tripped through text configs stay usable. Positive definiteness
-    is established eagerly through the Cholesky factorization; the log
-    determinant is computed from it on first use and kept.
+    The input is copied; an asymmetry above 1e-12 times its largest entry
+    raises ``ValueError`` and a smaller one is averaged away. Positive
+    definiteness is established eagerly through the Cholesky factorization;
+    the log determinant is computed from it on first use and kept.
     """
 
     entries: np.ndarray
@@ -48,12 +48,16 @@ class SpdMatrix:
     _logdet: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        sym = np.array(self.entries, dtype=float)
+        if sym.ndim != 2 or sym.shape[0] != sym.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {sym.shape}")
+        if not np.all(np.isfinite(sym)):
             raise ValueError("matrix entries must be finite")
-        sym = 0.5 * (arr + arr.T)
+        if not np.array_equal(sym, sym.T):
+            skew = float(np.max(np.abs(sym - sym.T)))
+            if skew > 1e-12 * float(np.max(np.abs(sym))):
+                raise ValueError(f"matrix is not symmetric: max |A - A'| = {skew:.3g}")
+            sym = 0.5 * (sym + sym.T)
         sym.setflags(write=False)
         object.__setattr__(self, "entries", sym)
         object.__setattr__(self, "dim", sym.shape[0])

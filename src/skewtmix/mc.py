@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import CHUNK_SIZE, MixtureParams, SkewTParams, _warn_at_caller
+from .distributions import CHUNK_SIZE, MixtureParams, SkewTParams, _check_order, _warn_at_caller
 
 __all__ = [
     "Estimate",
@@ -87,11 +87,6 @@ def mc_shannon(logpdf, sampler, n: int, seed: int, threads: int = 1) -> Estimate
         seed=seed,
         method=PLAIN_MC,
     )
-
-
-def _check_order(alpha: float) -> None:
-    if not math.isfinite(alpha) or alpha <= 0.0 or alpha == 1.0:
-        raise ValueError("alpha must be finite, positive and different from 1")
 
 
 def _renyi_estimate(logs: np.ndarray, alpha: float, seed: int, method: str) -> Estimate:

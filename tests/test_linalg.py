@@ -43,6 +43,11 @@ class TestCholesky:
         m = SpdMatrix(skewed)
         assert np.array_equal(m.entries, m.entries.T)
 
+    def test_rejects_asymmetric_input(self):
+        # averaging would silently run [[1, 0.45], [0.45, 1]] instead
+        with pytest.raises(ValueError, match=r"not symmetric: max \|A - A'\| = 0\.9"):
+            SpdMatrix(np.array([[1.0, 0.9], [0.0, 1.0]]))
+
 
 class TestLogDet:
     def test_identity(self):
