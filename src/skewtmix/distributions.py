@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,18 +239,21 @@ def skewt_logpdf(p: SkewTParams, x) -> float | np.ndarray:
 
 
 def mixture_logpdf(m: MixtureParams, x) -> float | np.ndarray:
-    """Log density of the mixture via a max-shifted log-sum."""
+    """Log density of the mixture via a max-shifted log-sum.
+
+    The weighted component log densities are stacked component-major, one
+    contiguous row per component of positive weight, and reduced over that
+    leading axis in place.
+    """
     x = _check_x(m.components[0], x)
-    logs = []
-    logw = []
-    for w, comp in zip(m.weights, m.components):
-        if w == 0.0:
-            continue
-        logs.append(np.asarray(skewt_logpdf(comp, x), dtype=float))
-        logw.append(math.log(w))
-    stacked = np.stack(logs, axis=-1) + np.asarray(logw)
-    shift = np.max(stacked, axis=-1)
-    out = shift + np.log(np.sum(np.exp(stacked - shift[..., None]), axis=-1))
+    terms = [(math.log(w), comp) for w, comp in zip(m.weights, m.components) if w != 0.0]
+    stacked = np.empty((len(terms),) + x.shape[:-1])
+    for i, (logw, comp) in enumerate(terms):
+        np.add(skewt_logpdf(comp, x), logw, out=stacked[i, ...])
+    shift = stacked.max(axis=0)
+    stacked -= shift
+    np.exp(stacked, out=stacked)
+    out = shift + np.log(stacked.sum(axis=0))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -356,27 +360,40 @@ def sample_skewt(p: SkewTParams, n: int, seed: int) -> np.ndarray:
     return out
 
 
-def sample_mixture(m: MixtureParams, n: int, seed: int) -> np.ndarray:
-    """Draw n rows from the mixture.
+def _component_labels(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Component index of each uniform draw in u: the weight interval it falls in.
+
+    The weights may sum to as little as 1 - 1e-12, so a draw at or above
+    their sum goes to the last component of positive weight, never to a
+    trailing component of weight 0.
+    """
+    labels = np.searchsorted(np.cumsum(weights), u, side="right")
+    return np.minimum(labels, np.flatnonzero(weights)[-1], out=labels)
+
+
+def sample_mixture(m: MixtureParams, n: int, seed: int, threads: int = 1) -> np.ndarray:
+    """Draw n rows from the mixture, CHUNK_SIZE rows at a time on ``threads`` workers.
 
     Each chunk first allocates rows to components from a dedicated
     allocation stream, then fills every component's rows from that
-    component's own derived stream. A single-component mixture therefore
-    produces exactly sample_skewt(component, n, component_seed(seed, 0)).
+    component's own derived stream. Chunks share no stream, so the draws
+    do not depend on ``threads``. A single-component mixture produces
+    exactly sample_skewt(component, n, component_seed(seed, 0)).
     """
     _check_request(n, seed)
     out = np.empty((n, m.dim))
-    edges = np.cumsum(m.weights)
     alloc_seed = component_seed(seed, _ALLOC_TAG)
-    for c, start, stop in _chunk_ranges(n):
-        count = stop - start
-        u = _stream(alloc_seed, c).random(count)
-        labels = np.searchsorted(edges, u, side="right")
-        np.clip(labels, 0, m.n_components - 1, out=labels)
-        block = np.empty((count, m.dim))
+    seeds = [component_seed(seed, i) for i in range(m.n_components)]
+
+    def fill(chunk):
+        c, start, stop = chunk
+        labels = _component_labels(m.weights, _stream(alloc_seed, c).random(stop - start))
+        block = out[start:stop]
         for i, comp in enumerate(m.components):
-            rows = np.nonzero(labels == i)[0]
+            rows = np.flatnonzero(labels == i)
             if rows.size:
-                block[rows] = _sample_component_chunk(comp, rows.size, _stream(component_seed(seed, i), c))
-        out[start:stop] = block
+                block[rows] = _sample_component_chunk(comp, rows.size, _stream(seeds[i], c))
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(fill, _chunk_ranges(n)))
     return out

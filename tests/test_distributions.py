@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from skewtmix import tables
 from skewtmix.distributions import (
     CHUNK_SIZE,
     MixtureParams,
     SkewTParams,
+    _component_labels,
     component_seed,
     derive_shape,
     mixture_cov,
@@ -40,6 +42,21 @@ def scipy_transcription_logpdf(p, x):
     lt = stats.multivariate_t.logpdf(x, loc=p.mu, shape=s, df=p.dof)
     arg = diff @ (sinv @ p.delta) * np.sqrt((p.dof + d) / (p.dof + q))
     return np.log(2.0) + lt + stats.t.logcdf(arg, p.dof + d)
+
+
+def last_axis_mixture_logpdf(m, x):
+    """The mixture log density as once computed: stacked (..., m), reduced over the last axis."""
+    x = np.asarray(x, dtype=float)
+    logs, logw = [], []
+    for w, comp in zip(m.weights, m.components):
+        if w == 0.0:
+            continue
+        logs.append(np.asarray(skewt_logpdf(comp, x), dtype=float))
+        logw.append(math.log(w))
+    stacked = np.stack(logs, axis=-1) + np.asarray(logw)
+    shift = np.max(stacked, axis=-1)
+    out = shift + np.log(np.sum(np.exp(stacked - shift[..., None]), axis=-1))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def is_normalization(p, n, seed):
@@ -199,6 +216,36 @@ class TestLogpdfs:
         )
         assert math.exp(mixture_logpdf(mix_d1_m2, x)) == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize("mixture_id", tables.MIXTURE_IDS)
+    def test_mixture_bit_identical_to_last_axis_reduction(self, mixture_id):
+        mix = tables.builtin_mixture(mixture_id)
+        x = sample_mixture(mix, CHUNK_SIZE + 123, 8)
+        assert mixture_logpdf(mix, x).tobytes() == last_axis_mixture_logpdf(mix, x).tobytes()
+        batch = x[:24].reshape(2, 3, 4, mix.dim)
+        got = mixture_logpdf(mix, batch)
+        assert got.shape == (2, 3, 4)
+        assert got.tobytes() == last_axis_mixture_logpdf(mix, batch).tobytes()
+        point = mixture_logpdf(mix, x[5])
+        assert type(point) is float
+        assert point == last_axis_mixture_logpdf(mix, x[5])
+
+    def test_mixture_zero_weight_bit_identical(self, case2):
+        far = make_component([40.0, -40.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0], 4.0)
+        lighter = make_component(case2.mu, case2.scale.entries, case2.delta, 7.0)
+        mix = make_mixture([case2, far, lighter], [0.4, 0.0, 0.6])
+        x = sample_mixture(mix, 5000, 9)
+        assert mixture_logpdf(mix, x).tobytes() == last_axis_mixture_logpdf(mix, x).tobytes()
+
+    @pytest.mark.parametrize("m, d", [(9, 1), (2, 9)])
+    def test_mixture_many_terms_within_an_ulp(self, m, d):
+        # numpy's pairwise sum over a last axis of 8 or more may round differently
+        rng = np.random.default_rng(m * d)
+        comps = [make_component(rng.uniform(-2.0, 2.0, d), np.eye(d) * rng.uniform(0.5, 2.0),
+                                rng.uniform(-1.0, 1.0, d), rng.uniform(3.0, 9.0)) for _ in range(m)]
+        mix = make_mixture(comps, np.full(m, 1.0 / m))
+        x = sample_mixture(mix, 4000, 10)
+        np.testing.assert_allclose(mixture_logpdf(mix, x), last_axis_mixture_logpdf(mix, x), rtol=1e-15, atol=0.0)
+
     def test_dimension_mismatch(self, case2):
         with pytest.raises(ValueError, match="dimension mismatch"):
             skewt_logpdf(case2, np.zeros(3))
@@ -341,6 +388,30 @@ class TestSamplers:
         mix = make_mixture([near, far], [1.0, 0.0])
         draws = sample_mixture(mix, 100_000, 5)
         assert np.max(np.abs(draws)) < 500.0
+
+    def test_leftover_mass_goes_to_last_positive_weight(self):
+        # the weights sum to 1 - 5e-13, so u = 0.99999999999999 lies past every edge
+        weights = np.array([0.5, 0.5 - 5e-13, 0.0])
+        u = np.array([0.0, 0.2, 0.5, 0.7, 1.0 - 5e-13, 0.99999999999999])
+        assert _component_labels(weights, u).tolist() == [0, 0, 1, 1, 1, 1]
+        leading = np.array([0.0, 0.3, 0.0, 0.7 - 5e-13, 0.0, 0.0])
+        assert _component_labels(leading, u).tolist() == [1, 1, 3, 3, 3, 3]
+
+    def test_labels_unchanged_when_last_weight_positive(self):
+        weights = np.array([0.1, 0.0, 0.3, 0.6 - 5e-13])
+        u = np.random.default_rng(11).random(10_000)
+        u[:2] = [1.0 - 5e-13, 0.99999999999999]
+        clipped = np.clip(np.searchsorted(np.cumsum(weights), u, side="right"), 0, len(weights) - 1)
+        assert np.array_equal(_component_labels(weights, u), clipped)
+
+    @pytest.mark.parametrize("mixture_id", ["d1_m5", "d3_m3"])
+    def test_mixture_thread_count_invariant(self, mixture_id):
+        mix = tables.builtin_mixture(mixture_id)
+        n = 2 * CHUNK_SIZE + 777
+        serial = sample_mixture(mix, n, 12)
+        assert serial.shape == (n, mix.dim)
+        for threads in (2, 4):
+            assert sample_mixture(mix, n, 12, threads=threads).tobytes() == serial.tobytes()
 
     def test_mixture_allocation_counts(self):
         near = make_component([0.0], [[1.0]], [0.0], 5.0)

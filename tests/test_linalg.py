@@ -130,6 +130,29 @@ class TestQuadForm:
             z = rng.standard_normal(d)
             assert quad_form(s, z) == pytest.approx(z @ np.linalg.inv(s) @ z, abs=1e-8)
 
+    @pytest.mark.parametrize("batch", [(), (7,), (2, 3), (70000,)], ids=str)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bit_identical_to_last_axis_sum(self, d, batch):
+        rng = np.random.default_rng(30 + d)
+        s = SpdMatrix(random_spd(rng, d))
+        z = rng.standard_normal(batch + (d,))
+        half = solve_lower_batch(s.cholesky_factor, z)
+        expected = np.sum(half * half, axis=-1)
+        got = quad_form(s, z)
+        if batch:
+            assert got.tobytes() == expected.tobytes()
+        else:
+            assert type(got) is float and got == float(expected)
+
+    @pytest.mark.parametrize("d", [8, 9])
+    def test_long_rows_within_an_ulp_of_last_axis_sum(self, d):
+        # numpy's pairwise sum over a last axis of 8 or more may round differently
+        rng = np.random.default_rng(40 + d)
+        s = SpdMatrix(random_spd(rng, d))
+        z = rng.standard_normal((5000, d))
+        half = solve_lower_batch(s.cholesky_factor, z)
+        np.testing.assert_allclose(quad_form(s, z), np.sum(half * half, axis=-1), rtol=1e-15, atol=0.0)
+
     def test_nonnegative(self):
         rng = np.random.default_rng(3)
         s = random_spd(rng, 5)

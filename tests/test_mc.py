@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from skewtmix import specfn, tables
 from skewtmix.distributions import (
     CHUNK_SIZE,
     mixture_logpdf,
@@ -151,6 +152,22 @@ class TestDeterminism:
         importance = is_renyi(target, lambda x: mixture_logpdf(proposal, x),
                               lambda k, s: sample_mixture(proposal, k, s), alpha, n, seed, threads)
         assert (importance.value, importance.std_error, importance.ess) == renyi(alpha * lt - lq)
+
+    def test_one_draw_and_one_t_cdf_call_per_component_chunk(self, monkeypatch):
+        # 2 chunks of a mixture with 3 skewed components: no log density is evaluated twice
+        mix = tables.builtin_mixture("d2_m3")
+        assert all(np.any(c.delta) for c in mix.components)
+        sizes, draws = [], []
+        real = specfn.student_t_cdf
+        monkeypatch.setattr(specfn, "student_t_cdf", lambda x, v: sizes.append(np.size(x)) or real(x, v))
+
+        def sampler(n, seed):
+            draws.append(n)
+            return sample_mixture(mix, n, seed)
+
+        mc_renyi(lambda x: mixture_logpdf(mix, x), sampler, 2.0, 2 * CHUNK_SIZE, 37, threads=2)
+        assert draws == [2 * CHUNK_SIZE]
+        assert sizes == [CHUNK_SIZE] * 6
 
     def test_se_scaling(self):
         small = mc_shannon(gauss_logpdf, gauss_sampler, 250_000, 35)
