@@ -94,8 +94,8 @@ def _oracle(mixture, alpha, samples, seed, threads, method="mc"):
             raise ValueError("importance sampling applies to Renyi orders; use --method mc for shannon")
         proposal = fat_proposal(mixture)
         return is_renyi(logpdf, lambda x: mixture_logpdf(proposal, x),
-                        lambda n, s: sample_mixture(proposal, n, s, threads), float(alpha), samples, seed, threads)
-    sampler = lambda n, s: sample_mixture(mixture, n, s, threads)  # noqa: E731
+                        lambda n, s: sample_mixture(proposal, n, s), float(alpha), samples, seed, threads)
+    sampler = lambda n, s: sample_mixture(mixture, n, s)  # noqa: E731
     if alpha == "shannon":
         return mc_shannon(logpdf, sampler, samples, seed, threads)
     return mc_renyi(logpdf, sampler, float(alpha), samples, seed, threads)

@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -371,29 +370,23 @@ def _component_labels(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(labels, np.flatnonzero(weights)[-1], out=labels)
 
 
-def sample_mixture(m: MixtureParams, n: int, seed: int, threads: int = 1) -> np.ndarray:
-    """Draw n rows from the mixture, CHUNK_SIZE rows at a time on ``threads`` workers.
+def sample_mixture(m: MixtureParams, n: int, seed: int) -> np.ndarray:
+    """Draw n rows from the mixture.
 
     Each chunk first allocates rows to components from a dedicated
     allocation stream, then fills every component's rows from that
-    component's own derived stream. Chunks share no stream, so the draws
-    do not depend on ``threads``. A single-component mixture produces
-    exactly sample_skewt(component, n, component_seed(seed, 0)).
+    component's own derived stream. A single-component mixture therefore
+    produces exactly sample_skewt(component, n, component_seed(seed, 0)).
     """
     _check_request(n, seed)
     out = np.empty((n, m.dim))
     alloc_seed = component_seed(seed, _ALLOC_TAG)
     seeds = [component_seed(seed, i) for i in range(m.n_components)]
-
-    def fill(chunk):
-        c, start, stop = chunk
+    for c, start, stop in _chunk_ranges(n):
         labels = _component_labels(m.weights, _stream(alloc_seed, c).random(stop - start))
         block = out[start:stop]
         for i, comp in enumerate(m.components):
             rows = np.flatnonzero(labels == i)
             if rows.size:
                 block[rows] = _sample_component_chunk(comp, rows.size, _stream(seeds[i], c))
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(fill, _chunk_ranges(n)))
     return out

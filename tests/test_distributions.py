@@ -404,15 +404,6 @@ class TestSamplers:
         clipped = np.clip(np.searchsorted(np.cumsum(weights), u, side="right"), 0, len(weights) - 1)
         assert np.array_equal(_component_labels(weights, u), clipped)
 
-    @pytest.mark.parametrize("mixture_id", ["d1_m5", "d3_m3"])
-    def test_mixture_thread_count_invariant(self, mixture_id):
-        mix = tables.builtin_mixture(mixture_id)
-        n = 2 * CHUNK_SIZE + 777
-        serial = sample_mixture(mix, n, 12)
-        assert serial.shape == (n, mix.dim)
-        for threads in (2, 4):
-            assert sample_mixture(mix, n, 12, threads=threads).tobytes() == serial.tobytes()
-
     def test_mixture_allocation_counts(self):
         near = make_component([0.0], [[1.0]], [0.0], 5.0)
         far = make_component([1000.0], [[1.0]], [0.0], 5.0)
