@@ -83,22 +83,30 @@ def _row(case, components, alpha, **cells) -> ReportRow:
     )
 
 
-def _oracle(mixture, alpha, samples, seed, threads, method="mc"):
-    """Monte Carlo estimate of the mixture's Shannon (alpha "shannon") or Renyi entropy.
+def _oracles(mixture, alphas, samples, seed, threads, method="mc"):
+    """Monte Carlo estimates of the mixture's Shannon (alpha "shannon") or Renyi entropies.
 
-    method "is" samples ``fat_proposal(mixture)`` and applies to Renyi orders only.
+    Yields one estimate per order, in order and only when asked for the next.
+    Every order passes the same closures to the estimator, so all of them
+    share one sample and one log-density evaluation (see ``mc``). Method "is"
+    samples ``fat_proposal(mixture)`` and applies to Renyi orders only.
     """
     logpdf = lambda x: mixture_logpdf(mixture, x)  # noqa: E731
     if method == "is":
-        if alpha == "shannon":
-            raise ValueError("importance sampling applies to Renyi orders; use --method mc for shannon")
         proposal = fat_proposal(mixture)
-        return is_renyi(logpdf, lambda x: mixture_logpdf(proposal, x),
-                        lambda n, s: sample_mixture(proposal, n, s), float(alpha), samples, seed, threads)
-    sampler = lambda n, s: sample_mixture(mixture, n, s)  # noqa: E731
-    if alpha == "shannon":
-        return mc_shannon(logpdf, sampler, samples, seed, threads)
-    return mc_renyi(logpdf, sampler, float(alpha), samples, seed, threads)
+        proposal_logpdf = lambda x: mixture_logpdf(proposal, x)  # noqa: E731
+        sampler = lambda n, s: sample_mixture(proposal, n, s)  # noqa: E731
+    else:
+        sampler = lambda n, s: sample_mixture(mixture, n, s)  # noqa: E731
+    for alpha in alphas:
+        if method == "is":
+            if alpha == "shannon":
+                raise ValueError("importance sampling applies to Renyi orders; use --method mc for shannon")
+            yield is_renyi(logpdf, proposal_logpdf, sampler, float(alpha), samples, seed, threads)
+        elif alpha == "shannon":
+            yield mc_shannon(logpdf, sampler, samples, seed, threads)
+        else:
+            yield mc_renyi(logpdf, sampler, float(alpha), samples, seed, threads)
 
 
 def _entropy(comp, alpha):
@@ -124,33 +132,30 @@ def _bounds_row(case, mixture, report, est, **cells) -> ReportRow:
 def _cmd_entropy(args) -> int:
     cfg, seed, samples, threads, alphas = _load_run(args)
     mixture = cfg.mixture
-    rows = []
-    for alpha in alphas:
-        if args.method == "exact":
-            if mixture.n_components != 1:
-                raise ValueError(
-                    "exact entropies are defined per component; "
-                    "use the bounds command for mixtures"
-                )
-            value = _entropy(mixture.components[0], alpha)
-            rows.append(_row(CONFIG_LABEL, mixture.components, alpha, approx=value))
-            continue
-        est = _oracle(mixture, alpha, samples, seed, threads, args.method)
-        rows.append(
-            _row(CONFIG_LABEL, mixture.components, alpha,
-                 approx=est.value, oracle=est.value, oracle_se=est.std_error)
-        )
+    if args.method == "exact":
+        if mixture.n_components != 1:
+            raise ValueError(
+                "exact entropies are defined per component; "
+                "use the bounds command for mixtures"
+            )
+        rows = [_row(CONFIG_LABEL, mixture.components, alpha, approx=_entropy(mixture.components[0], alpha))
+                for alpha in alphas]
+    else:
+        ests = _oracles(mixture, alphas, samples, seed, threads, args.method)
+        rows = [_row(CONFIG_LABEL, mixture.components, alpha,
+                     approx=est.value, oracle=est.value, oracle_se=est.std_error)
+                for alpha, est in zip(alphas, ests)]
     _emit(rows, args.out, args.out_file)
     return 0
 
 
 def _cmd_bounds(args) -> int:
     cfg, seed, samples, threads, alphas = _load_run(args)
+    ests = _oracles(cfg.mixture, alphas, samples, seed, threads)
     rows = []
     for alpha in alphas:
         report = _bounds(cfg.mixture, alpha, args.convention)
-        est = _oracle(cfg.mixture, alpha, samples, seed, threads) if args.oracle else None
-        rows.append(_bounds_row(CONFIG_LABEL, cfg.mixture, report, est))
+        rows.append(_bounds_row(CONFIG_LABEL, cfg.mixture, report, next(ests) if args.oracle else None))
     _emit(rows, args.out, args.out_file)
     return 0
 
@@ -237,9 +242,10 @@ def _property_rows(case, shapes, orders, filters, seed, samples, threads):
             if not _keep(filters, d=d, m=m):
                 continue
             mixture = tables.builtin_mixture(f"d{d}_m{m}")
+            ests = _oracles(mixture, orders, samples, seed, threads)
             for alpha in orders:
                 report = _bounds(mixture, alpha, "exact")
-                est = _oracle(mixture, alpha, samples, seed, threads)
+                est = next(ests)
                 inside = (report.lower - 3 * est.std_error <= est.value
                           <= report.upper + 3 * est.std_error)
                 ordered = report.lower <= report.upper

@@ -334,14 +334,18 @@ def _chunk_ranges(n: int):
         yield c, start, min(start + CHUNK_SIZE, n)
 
 
-def _sample_component_chunk(p: SkewTParams, count: int, rng: np.random.Generator) -> np.ndarray:
+def _psi_factor(p: SkewTParams) -> np.ndarray:
+    """Cholesky factor of U's covariance S - delta_hat delta_hat', computed once per sampling call."""
     shape = derive_shape(p)
-    psi = p.scale.entries - np.outer(shape.delta_hat, shape.delta_hat)
-    lower = SpdMatrix(psi).cholesky_factor
+    return SpdMatrix(p.scale.entries - np.outer(shape.delta_hat, shape.delta_hat)).cholesky_factor
+
+
+def _sample_component_chunk(p: SkewTParams, lower: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    delta_hat = derive_shape(p).delta_hat
     w = rng.gamma(p.dof / 2.0, 2.0 / p.dof, size=count)
     u0 = np.abs(rng.standard_normal(count))
     u = rng.standard_normal((count, p.dim)) @ lower.T
-    return p.mu + (shape.delta_hat[None, :] * u0[:, None] + u) / np.sqrt(w)[:, None]
+    return p.mu + (delta_hat[None, :] * u0[:, None] + u) / np.sqrt(w)[:, None]
 
 
 def _check_request(n: int, seed: int) -> None:
@@ -354,19 +358,23 @@ def sample_skewt(p: SkewTParams, n: int, seed: int) -> np.ndarray:
     """Draw n rows from the skew-t law; bit-identical for a fixed seed."""
     _check_request(n, seed)
     out = np.empty((n, p.dim))
+    lower = _psi_factor(p)
     for c, start, stop in _chunk_ranges(n):
-        out[start:stop] = _sample_component_chunk(p, stop - start, _stream(seed, c))
+        out[start:stop] = _sample_component_chunk(p, lower, stop - start, _stream(seed, c))
     return out
 
 
 def _component_labels(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Component index of each uniform draw in u: the weight interval it falls in.
 
-    The weights may sum to as little as 1 - 1e-12, so a draw at or above
-    their sum goes to the last component of positive weight, never to a
-    trailing component of weight 0.
+    The index is the number of cumulative weights at or below u, counted
+    with one comparison per component. The weights may sum to as little as
+    1 - 1e-12, so a draw at or above their sum goes to the last component
+    of positive weight, never to a trailing component of weight 0.
     """
-    labels = np.searchsorted(np.cumsum(weights), u, side="right")
+    labels = np.zeros(u.shape, dtype=np.intp)
+    for edge in np.cumsum(weights):
+        labels += u >= edge
     return np.minimum(labels, np.flatnonzero(weights)[-1], out=labels)
 
 
@@ -382,11 +390,13 @@ def sample_mixture(m: MixtureParams, n: int, seed: int) -> np.ndarray:
     out = np.empty((n, m.dim))
     alloc_seed = component_seed(seed, _ALLOC_TAG)
     seeds = [component_seed(seed, i) for i in range(m.n_components)]
+    # A component of weight 0 is never drawn, so its factor is never needed.
+    lowers = [_psi_factor(comp) if w > 0.0 else None for comp, w in zip(m.components, m.weights)]
     for c, start, stop in _chunk_ranges(n):
         labels = _component_labels(m.weights, _stream(alloc_seed, c).random(stop - start))
         block = out[start:stop]
         for i, comp in enumerate(m.components):
             rows = np.flatnonzero(labels == i)
             if rows.size:
-                block[rows] = _sample_component_chunk(comp, rows.size, _stream(seeds[i], c))
+                block[rows] = _sample_component_chunk(comp, lowers[i], rows.size, _stream(seeds[i], c))
     return out

@@ -76,21 +76,15 @@ def component(mu, scale, delta, dof) -> SkewTParams:
 def oracle_estimates(law, n, seed, alphas):
     """Shared-draw MC estimates of H and R_alpha with standard errors."""
     if isinstance(law, MixtureParams):
-        draws = sample_mixture(law, n, seed)
-        lp = mixture_logpdf(law, draws)
+        logpdf = lambda x: mixture_logpdf(law, x)  # noqa: E731
+        sampler = lambda k, s: sample_mixture(law, k, s)  # noqa: E731
     else:
-        draws = sample_skewt(law, n, seed)
-        lp = skewt_logpdf(law, draws)
-    out = {"shannon": (float(-lp.mean()), float(lp.std() / math.sqrt(n)))}
-    for alpha in alphas:
-        w = (alpha - 1.0) * lp
-        shift = w.max()
-        sw = np.exp(w - shift)
-        mean = sw.mean()
-        value = (shift + math.log(mean)) / (1.0 - alpha)
-        se = float(sw.std() / (mean * math.sqrt(n)) / abs(1.0 - alpha))
-        out[alpha] = (float(value), se)
-    return out
+        logpdf = lambda x: skewt_logpdf(law, x)  # noqa: E731
+        sampler = lambda k, s: sample_skewt(law, k, s)  # noqa: E731
+    # the same callables for every statistic, so all of them share one draw and evaluation
+    ests = {"shannon": mc_shannon(logpdf, sampler, n, seed, threads=2)}
+    ests.update((alpha, mc_renyi(logpdf, sampler, alpha, n, seed, threads=2)) for alpha in alphas)
+    return {key: (est.value, est.std_error) for key, est in ests.items()}
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skewtmix import tables
+from skewtmix import cli, tables
 from skewtmix.bounds import renyi_bounds, shannon_bounds
 from skewtmix.cli import build_parser, main
 from skewtmix.config import ConfigError, load_config, parse_config
@@ -284,6 +284,18 @@ class TestBoundsCommand:
                        mc_renyi(*calls, 2.0, 20000, 3, 1)),
         ]
         assert rows_from_json(out) == expected
+
+    def test_orders_share_one_sample(self, tmp_path, capsys, monkeypatch):
+        # three orders draw once, and each row equals the row of its one-order run
+        cfg = write_config(tmp_path, MIX_M2)
+        draws = []
+        real = cli.sample_mixture
+        monkeypatch.setattr(cli, "sample_mixture", lambda m, n, s: draws.append(n) or real(m, n, s))
+        argv = ("bounds", cfg, "--oracle", "--samples", "20000", "--seed", "5", "--out", "json")
+        code, out, _ = run_cli(capsys, *argv, "--alpha", "shannon", "--alpha", "2", "--alpha", "5")
+        assert code == 0 and draws == [20000]
+        singles = [run_cli(capsys, *argv, "--alpha", alpha)[1] for alpha in ("shannon", "2", "5")]
+        assert [json.dumps(row) for row in json.loads(out)] == [json.dumps(json.loads(s)[0]) for s in singles]
 
     def test_renyi_convention(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MIX_M2)

@@ -9,10 +9,12 @@ from scipy import integrate, stats
 
 from skewtmix import tables
 from skewtmix.distributions import (
+    _ALLOC_TAG,
     CHUNK_SIZE,
     MixtureParams,
     SkewTParams,
     _component_labels,
+    _stream,
     component_seed,
     derive_shape,
     mixture_cov,
@@ -26,7 +28,7 @@ from skewtmix.distributions import (
     skewt_mean,
 )
 from skewtmix.entropy import skewt_renyi
-from skewtmix.linalg import SpdMatrix
+from skewtmix.linalg import NotPositiveDefiniteError, SpdMatrix
 
 from conftest import make_component, make_mixture
 
@@ -389,6 +391,14 @@ class TestSamplers:
         draws = sample_mixture(mix, 100_000, 5)
         assert np.max(np.abs(draws)) < 500.0
 
+    def test_zero_weight_component_is_never_factored(self):
+        # S - delta_hat delta_hat' of this shape is not numerically positive definite
+        ok = make_component([0.0, 0.0], np.eye(2), [0.0, 0.0], 3.0)
+        flat = make_component([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]], [1e9, 1e9], 3.0)
+        with pytest.raises(NotPositiveDefiniteError):
+            sample_skewt(flat, 10, 1)
+        assert sample_mixture(make_mixture([ok, flat], [1.0, 0.0]), 10, 1).shape == (10, 2)
+
     def test_leftover_mass_goes_to_last_positive_weight(self):
         # the weights sum to 1 - 5e-13, so u = 0.99999999999999 lies past every edge
         weights = np.array([0.5, 0.5 - 5e-13, 0.0])
@@ -403,6 +413,52 @@ class TestSamplers:
         u[:2] = [1.0 - 5e-13, 0.99999999999999]
         clipped = np.clip(np.searchsorted(np.cumsum(weights), u, side="right"), 0, len(weights) - 1)
         assert np.array_equal(_component_labels(weights, u), clipped)
+
+    @pytest.mark.parametrize("weights", [
+        [0.2, 0.3, 0.5],
+        [0.1, 0.0, 0.3, 0.6 - 5e-13],
+        [0.5, 0.5 - 5e-13, 0.0],
+        [0.0, 0.3, 0.0, 0.7 - 5e-13, 0.0, 0.0],
+    ])
+    def test_labels_match_searchsorted(self, weights):
+        # random u, u exactly at and just below every cumulative edge, and u past the sum
+        weights = np.array(weights)
+        edges = np.cumsum(weights)
+        u = np.concatenate([np.random.default_rng(12).random(CHUNK_SIZE), edges,
+                            np.nextafter(edges, 0.0), [0.0, 0.99999999999999]])
+        expected = np.minimum(np.searchsorted(edges, u, side="right"), np.flatnonzero(weights)[-1])
+        assert np.array_equal(_component_labels(weights, u), expected)
+
+    @pytest.mark.parametrize("mixture_id", tables.MIXTURE_IDS)
+    def test_mixture_draws_bit_identical_to_per_chunk_factor(self, mixture_id):
+        # in-test copy of the sampler that factored S - delta_hat delta_hat' in every chunk
+        mix, n, seed = tables.builtin_mixture(mixture_id), 2 * CHUNK_SIZE + 300, 19
+        expected = np.empty((n, mix.dim))
+        for c, start in enumerate(range(0, n, CHUNK_SIZE)):
+            stop = min(start + CHUNK_SIZE, n)
+            u = _stream(component_seed(seed, _ALLOC_TAG), c).random(stop - start)
+            labels = np.minimum(np.searchsorted(np.cumsum(mix.weights), u, side="right"),
+                                np.flatnonzero(mix.weights)[-1])
+            for i, comp in enumerate(mix.components):
+                rows = np.flatnonzero(labels == i)
+                rng = _stream(component_seed(seed, i), c)
+                delta_hat = derive_shape(comp).delta_hat
+                lower = SpdMatrix(comp.scale.entries - np.outer(delta_hat, delta_hat)).cholesky_factor
+                w = rng.gamma(comp.dof / 2.0, 2.0 / comp.dof, size=rows.size)
+                u0 = np.abs(rng.standard_normal(rows.size))
+                z = rng.standard_normal((rows.size, comp.dim)) @ lower.T
+                expected[start + rows] = comp.mu + (delta_hat * u0[:, None] + z) / np.sqrt(w)[:, None]
+        assert np.array_equal(sample_mixture(mix, n, seed), expected)
+
+    def test_psi_factored_once_per_component_per_call(self, monkeypatch):
+        # three chunks of a three-component mixture build three SpdMatrix, not nine
+        mix = tables.builtin_mixture("d2_m3")
+        built = []
+        real = SpdMatrix.__post_init__
+        monkeypatch.setattr(SpdMatrix, "__post_init__", lambda self: built.append(1) or real(self))
+        sample_mixture(mix, 3 * CHUNK_SIZE, 5)
+        sample_skewt(mix.components[0], 3 * CHUNK_SIZE, 5)
+        assert len(built) == 3 + 1
 
     def test_mixture_allocation_counts(self):
         near = make_component([0.0], [[1.0]], [0.0], 5.0)

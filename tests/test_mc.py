@@ -14,6 +14,7 @@ from skewtmix.distributions import (
 from skewtmix.entropy import mt_renyi, mt_shannon, skewt_renyi
 from skewtmix.mc import (
     LowEffectiveSampleSize,
+    _log_densities,
     fat_proposal,
     is_renyi,
     mc_renyi,
@@ -165,7 +166,11 @@ class TestDeterminism:
             draws.append(n)
             return sample_mixture(mix, n, seed)
 
-        mc_renyi(lambda x: mixture_logpdf(mix, x), sampler, 2.0, 2 * CHUNK_SIZE, 37, threads=2)
+        # every order after the first reuses the kept draws and log densities
+        logpdf = lambda x: mixture_logpdf(mix, x)  # noqa: E731
+        mc_shannon(logpdf, sampler, 2 * CHUNK_SIZE, 37, threads=2)
+        mc_renyi(logpdf, sampler, 2.0, 2 * CHUNK_SIZE, 37, threads=2)
+        mc_renyi(logpdf, sampler, 5.0, 2 * CHUNK_SIZE, 37, threads=2)
         assert draws == [2 * CHUNK_SIZE]
         assert sizes == [CHUNK_SIZE] * 6
 
@@ -246,3 +251,69 @@ class TestImportanceSampling:
         prop = fat_proposal(mix_d1_m2)
         assert all(c.dof == max(1.0, o.dof / 2.0) for c, o in zip(prop.components, mix_d1_m2.components))
         assert np.array_equal(prop.weights, mix_d1_m2.weights)
+
+
+class TestSharedEvaluation:
+    @staticmethod
+    def counting(draws):
+        def sampler(n, seed):
+            draws.append((n, seed))
+            return gauss_sampler(n, seed)
+
+        return sampler
+
+    def test_new_seed_n_threads_or_callable_draws_again(self):
+        draws = []
+        sampler = self.counting(draws)
+        mc_shannon(gauss_logpdf, sampler, 1000, 1)
+        mc_renyi(gauss_logpdf, sampler, 2.0, 1000, 1)
+        assert draws == [(1000, 1)]
+        mc_shannon(gauss_logpdf, sampler, 1000, 2)
+        mc_shannon(gauss_logpdf, sampler, 1001, 2)
+        mc_shannon(gauss_logpdf, sampler, 1001, 2, threads=2)
+        mc_shannon(lambda x: gauss_logpdf(x), sampler, 1001, 2, threads=2)
+        assert draws == [(1000, 1), (1000, 2), (1001, 2), (1001, 2), (1001, 2)]
+
+    def test_kept_arrays_are_read_only(self):
+        lt, lq = _log_densities(self.counting([]), 1000, 3, 1, gauss_logpdf, gauss_logpdf)
+        for lp in (lt, lq):
+            with pytest.raises(ValueError, match="read-only"):
+                lp[0] = 0.0
+
+    def test_shared_estimates_equal_fresh_ones(self, mix_d1_m2):
+        # one set of callables for every order against new callables per order, bit for bit
+        n, seed = CHUNK_SIZE + 1000, 38
+        proposal = fat_proposal(mix_d1_m2)
+
+        def callables():
+            return (lambda x: mixture_logpdf(mix_d1_m2, x), lambda x: mixture_logpdf(proposal, x),
+                    lambda k, s: sample_mixture(mix_d1_m2, k, s), lambda k, s: sample_mixture(proposal, k, s))
+
+        def estimates(fresh):
+            shared = callables()
+            pick = lambda: callables() if fresh else shared  # noqa: E731
+            target, _, sampler, _ = pick()
+            out = [mc_shannon(target, sampler, n, seed, 2)]
+            for alpha in (2.0, 5.0):
+                target, _, sampler, _ = pick()
+                out.append(mc_renyi(target, sampler, alpha, n, seed, 2))
+            for alpha in (2.0, 5.0):
+                target, prop_logpdf, _, prop_sampler = pick()
+                out.append(is_renyi(target, prop_logpdf, prop_sampler, alpha, n, seed, 2))
+            return out
+
+        assert estimates(fresh=False) == estimates(fresh=True)
+
+    def test_failed_evaluation_is_not_kept(self):
+        draws = []
+        sampler = self.counting(draws)
+
+        def broken_logpdf(x):
+            lp = gauss_logpdf(x)
+            lp[5] = np.inf
+            return lp
+
+        for _ in range(2):
+            with pytest.raises(ArithmeticError, match="draw index 5"):
+                mc_renyi(broken_logpdf, sampler, 2.0, 1000, 4)
+        assert draws == [(1000, 4), (1000, 4)]
