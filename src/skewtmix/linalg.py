@@ -1,11 +1,16 @@
 """Dense symmetric positive definite matrix helpers for small dimensions.
 
 Scale matrices in this package are tiny (d up to roughly 10). The
-factorizations come from numpy.linalg; triangular solves call LAPACK
-``trtrs`` directly, through ``scipy.linalg.get_lapack_funcs``, without the
-checks and dispatch of ``scipy.linalg.solve_triangular``. This module adds
-input validation, the batched (..., d) layout, and one error type for
-matrices that are not positive definite.
+factorizations come from numpy.linalg. ``solve`` and the triangular solves
+call LAPACK ``trtrs`` directly, through ``scipy.linalg.get_lapack_funcs``,
+without the checks and dispatch of ``scipy.linalg.solve_triangular``.
+``quad_form``, which the log densities evaluate on every batch of draws,
+calls no LAPACK routine: it substitutes forward over the d columns in
+numpy. A batched ``trtrs`` call holds the GIL in its f2py wrapper and,
+with BLAS threads unpinned, wakes BLAS threads that compete with the
+worker threads of the Monte Carlo oracles. This module adds input
+validation, the batched (..., d) layout, and one error type for matrices
+that are not positive definite.
 """
 
 from __future__ import annotations
@@ -131,12 +136,20 @@ def quad_form(s, z) -> float | np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != spd.dim:
         raise ValueError(f"dimension mismatch: matrix is {spd.dim}x{spd.dim}, vector has {z.shape[-1]}")
-    half = solve_lower_batch(spd.cholesky_factor, z)
+    # Forward substitution L h = z in numpy, one column of h at a time. Every
+    # row takes the same elementwise steps, so its result does not depend on
+    # the batch around it.
+    half = []
+    for j, row in enumerate(spd.cholesky_factor.tolist()):
+        h = z[..., j]
+        for k in range(j):
+            h = h - row[k] * half[k]
+        half.append(h / row[j])
     # Squared columns added in column order: for d < 8 the same sum, bit for
-    # bit, as np.sum(half * half, axis=-1), without reducing over a short axis.
-    q = half[..., 0] * half[..., 0]
-    for j in range(1, spd.dim):
-        q += half[..., j] * half[..., j]
+    # bit, as a last-axis np.sum, without reducing over a short axis.
+    q = half[0] * half[0]
+    for h in half[1:]:
+        q += h * h
     return float(q) if q.ndim == 0 else q
 
 

@@ -5,9 +5,12 @@ against. They only need a log density and a sampler, so they work for
 any law in the package (and for the closed-form test laws).
 
 Determinism: samplers in this package derive all randomness from
-(seed, chunk) counter streams, and the reductions here are evaluated in
-fixed chunk order, so estimates are bit-identical for a fixed seed no
-matter how many worker threads evaluate the integrand.
+(seed, chunk) counter streams. The draws are made serially, then every log
+density is evaluated in fixed blocks of BLOCK_SIZE rows, each written into
+its own slice, and the reductions run over the whole arrays afterwards, so
+estimates are bit-identical for a fixed seed no matter how many worker
+threads evaluate the integrand. Small blocks keep the working set of each
+job small.
 
 Samplers and log densities must be pure functions of their arguments.
 The last draw-and-evaluate result is kept, keyed on the sampler, n, seed,
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import CHUNK_SIZE, MixtureParams, SkewTParams, _check_order, _warn_at_caller
+from .distributions import MixtureParams, SkewTParams, _check_order, _warn_at_caller
 
 __all__ = [
     "Estimate",
@@ -39,6 +42,7 @@ __all__ = [
 PLAIN_MC = "plain_mc"
 IMPORTANCE = "importance"
 ESS_RATIO_FLOOR = 0.01  # is_renyi flags an ESS below this share of n
+BLOCK_SIZE = 1 << 14  # rows of draws per log-density evaluation job
 
 
 class LowEffectiveSampleSize(UserWarning):
@@ -62,8 +66,9 @@ class Estimate:
 def _log_densities(sampler, n: int, seed: int, threads: int, *logpdfs) -> tuple:
     """Draw n points once and evaluate each log density on them, all finite.
 
-    Every log density is evaluated CHUNK_SIZE rows at a time on one pool of
-    ``threads`` workers, each chunk written in place into its output array.
+    Every log density is evaluated BLOCK_SIZE rows at a time on one pool of
+    ``threads`` workers, each block written in place into its slice of the
+    output array.
     The last result is kept and returned again, read-only, for equal
     arguments; the callables compare by identity.
     """
@@ -74,9 +79,9 @@ def _log_densities(sampler, n: int, seed: int, threads: int, *logpdfs) -> tuple:
 
     def work(job):
         lp, logpdf, start = job
-        lp[start:start + CHUNK_SIZE] = logpdf(draws[start:start + CHUNK_SIZE])
+        lp[start:start + BLOCK_SIZE] = logpdf(draws[start:start + BLOCK_SIZE])
 
-    starts = range(0, len(draws), CHUNK_SIZE)
+    starts = range(0, len(draws), BLOCK_SIZE)
     jobs = [(lp, logpdf, start) for lp, logpdf in zip(out, logpdfs) for start in starts]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(work, jobs))
@@ -105,11 +110,13 @@ def _renyi_estimate(logs: np.ndarray, alpha: float, seed: int, method: str) -> E
 
     The mean is taken with a max shift, and the standard error of its log
     comes from the delta method. Importance sampling also reports the
-    effective sample size of the weights and warns when it is low.
+    effective sample size of the weights and warns when it is low. ``logs``
+    must be a fresh array: it is shifted and exponentiated in place.
     """
     n = len(logs)
     shift = float(np.max(logs))
-    scaled = np.exp(logs - shift)
+    logs -= shift
+    scaled = np.exp(logs, out=logs)
     mean = float(np.mean(scaled))
     if mean <= 0.0:
         raise ArithmeticError("all summands vanished in the power mean")

@@ -1,13 +1,17 @@
 import csv
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import skewtmix
 from skewtmix import cli, tables
 from skewtmix.bounds import renyi_bounds, shannon_bounds
 from skewtmix.cli import build_parser, main
@@ -386,6 +390,28 @@ def test_output_thread_count_invariant(tmp_path, capsys, argv):
                                "--seed", "9", "--threads", threads, "--out", "json")
         assert code == 0
         outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_output_independent_of_blas_threads(tmp_path):
+    # BLAS threads are unpinned by default for CLI users; results must not depend on it
+    mix = tables.builtin_mixture("d3_m3")
+    cfg = write_config(tmp_path, {
+        "components": [{"mu": c.mu.tolist(), "scale": c.scale.entries.tolist(), "delta": c.delta.tolist(),
+                        "dof": c.dof} for c in mix.components],
+        "weights": mix.weights.tolist(),
+    })
+    src = str(Path(skewtmix.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    argv = [sys.executable, "-c", "import sys; from skewtmix.cli import main; sys.exit(main(sys.argv[1:]))",
+            "bounds", cfg, "--oracle", "--alpha", "shannon", "--alpha", "2", "--threads", "2",
+            "--samples", "140000", "--out", "json"]
+    outs = []
+    for blas in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        proc = subprocess.run(argv, capture_output=True, text=True, env={**env, **blas}, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
     assert outs[0] == outs[1]
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import linalg
@@ -15,6 +16,7 @@ from skewtmix.linalg import (
     solve_upper_batch,
     sqrt_spd,
 )
+from skewtmix.mc import BLOCK_SIZE
 
 CASE2_SCALE = np.array([[0.7, 0.3], [0.3, 3.0]])
 
@@ -130,13 +132,27 @@ class TestQuadForm:
             z = rng.standard_normal(d)
             assert quad_form(s, z) == pytest.approx(z @ np.linalg.inv(s) @ z, abs=1e-8)
 
+    @staticmethod
+    def substituted_rows(lower, z):
+        # reference forward substitution L h = z, one row at a time in Python floats
+        rows = lower.tolist()
+        half = np.empty_like(z)
+        for idx in np.ndindex(z.shape[:-1]):
+            h = half[idx]
+            for j, row in enumerate(rows):
+                t = float(z[idx][j])
+                for k in range(j):
+                    t -= row[k] * h[k]
+                h[j] = t / row[j]
+        return half
+
     @pytest.mark.parametrize("batch", [(), (7,), (2, 3), (70000,)], ids=str)
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_bit_identical_to_last_axis_sum(self, d, batch):
         rng = np.random.default_rng(30 + d)
         s = SpdMatrix(random_spd(rng, d))
         z = rng.standard_normal(batch + (d,))
-        half = solve_lower_batch(s.cholesky_factor, z)
+        half = self.substituted_rows(s.cholesky_factor, z)
         expected = np.sum(half * half, axis=-1)
         got = quad_form(s, z)
         if batch:
@@ -150,8 +166,33 @@ class TestQuadForm:
         rng = np.random.default_rng(40 + d)
         s = SpdMatrix(random_spd(rng, d))
         z = rng.standard_normal((5000, d))
-        half = solve_lower_batch(s.cholesky_factor, z)
+        half = self.substituted_rows(s.cholesky_factor, z)
         np.testing.assert_allclose(quad_form(s, z), np.sum(half * half, axis=-1), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 9])
+    def test_each_row_as_if_alone(self, d):
+        # a row's result does not depend on the batch or the Monte Carlo block it is evaluated in
+        rng = np.random.default_rng(50 + d)
+        s = SpdMatrix(random_spd(rng, d))
+        z = rng.standard_normal((70000, d))
+        alone = np.array([quad_form(s, row) for row in z])
+        assert quad_form(s, z).tobytes() == alone.tobytes()
+        for start in range(0, len(z), BLOCK_SIZE):
+            block = z[start:start + BLOCK_SIZE]
+            assert quad_form(s, block).tobytes() == alone[start:start + len(block)].tobytes()
+
+    def test_within_16_ulps_of_exact(self):
+        # against a 50-digit z' S^-1 z; the measured worst case here is 8.1 ulps, at d = 8
+        for d in range(1, 10):
+            rng = np.random.default_rng(60 + d)
+            s = SpdMatrix(random_spd(rng, d))
+            z = rng.standard_normal((200, d))
+            with mpmath.workdps(50):
+                inverse = mpmath.matrix(s.entries.tolist()) ** -1
+                for row, got in zip(z, quad_form(s, z)):
+                    col = mpmath.matrix(row.tolist())
+                    exact = (col.T * inverse * col)[0]
+                    assert abs(mpmath.mpf(got) - exact) <= 16 * np.spacing(float(exact)), (d, row)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(3)

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from skewtmix import specfn, tables
+from skewtmix import linalg, specfn, tables
 from skewtmix.distributions import (
     CHUNK_SIZE,
     mixture_logpdf,
@@ -13,6 +14,7 @@ from skewtmix.distributions import (
 )
 from skewtmix.entropy import mt_renyi, mt_shannon, skewt_renyi
 from skewtmix.mc import (
+    BLOCK_SIZE,
     LowEffectiveSampleSize,
     _log_densities,
     fat_proposal,
@@ -41,6 +43,16 @@ def gauss_sampler(n, seed):
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, c], dtype=np.uint64)))
         out[start:stop, 0] = rng.standard_normal(stop - start)
     return out
+
+
+def whole_array_renyi(logs, alpha):
+    """Value, standard error and ESS of a Renyi estimate from one whole-array reduction."""
+    n = len(logs)
+    scaled = np.exp(logs - np.max(logs))
+    mean = float(np.mean(scaled))
+    value = (float(np.max(logs)) + math.log(mean)) / (1.0 - alpha)
+    std_error = float(np.std(scaled) / (mean * math.sqrt(n))) / abs(1.0 - alpha)
+    return value, std_error, float(np.sum(scaled) ** 2 / np.sum(scaled * scaled))
 
 
 class TestMcShannon:
@@ -130,37 +142,29 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("threads", [1, 4])
     def test_chunked_equals_whole_array_reduction(self, mix_d1_m2, threads):
-        # 3.5 chunks of draws; the reference evaluates each log density on all of them at once
+        # 3.5 sampler chunks (14 blocks) of draws; the reference evaluates each log density on all of them at once
         n, seed, alpha = 3 * CHUNK_SIZE + CHUNK_SIZE // 2, 36, 3.0
         proposal = fat_proposal(mix_d1_m2)
         lp = mixture_logpdf(mix_d1_m2, sample_mixture(mix_d1_m2, n, seed))
         draws = sample_mixture(proposal, n, seed)
         lt, lq = mixture_logpdf(mix_d1_m2, draws), mixture_logpdf(proposal, draws)
-
-        def renyi(logs):
-            scaled = np.exp(logs - np.max(logs))
-            mean = float(np.mean(scaled))
-            value = (float(np.max(logs)) + math.log(mean)) / (1.0 - alpha)
-            std_error = float(np.std(scaled) / (mean * math.sqrt(n))) / abs(1.0 - alpha)
-            return value, std_error, float(np.sum(scaled) ** 2 / np.sum(scaled * scaled))
-
         target = lambda x: mixture_logpdf(mix_d1_m2, x)  # noqa: E731
         sampler = lambda k, s: sample_mixture(mix_d1_m2, k, s)  # noqa: E731
         shannon = mc_shannon(target, sampler, n, seed, threads)
         assert (shannon.value, shannon.std_error) == (float(-np.mean(lp)), float(np.std(lp) / math.sqrt(n)))
         plain = mc_renyi(target, sampler, alpha, n, seed, threads)
-        assert (plain.value, plain.std_error) == renyi((alpha - 1.0) * lp)[:2]
+        assert (plain.value, plain.std_error) == whole_array_renyi((alpha - 1.0) * lp, alpha)[:2]
         importance = is_renyi(target, lambda x: mixture_logpdf(proposal, x),
                               lambda k, s: sample_mixture(proposal, k, s), alpha, n, seed, threads)
-        assert (importance.value, importance.std_error, importance.ess) == renyi(alpha * lt - lq)
+        assert (importance.value, importance.std_error, importance.ess) == whole_array_renyi(alpha * lt - lq, alpha)
 
-    def test_one_draw_and_one_t_cdf_call_per_component_chunk(self, monkeypatch):
-        # 2 chunks of a mixture with 3 skewed components: no log density is evaluated twice
+    def test_one_draw_and_each_row_once_through_the_t_cdf(self, monkeypatch):
+        # 8 blocks of a mixture with 3 skewed components: no row of any component is evaluated twice
         mix = tables.builtin_mixture("d2_m3")
         assert all(np.any(c.delta) for c in mix.components)
-        sizes, draws = [], []
+        n, args, draws = 2 * CHUNK_SIZE, [], []
         real = specfn.student_t_cdf
-        monkeypatch.setattr(specfn, "student_t_cdf", lambda x, v: sizes.append(np.size(x)) or real(x, v))
+        monkeypatch.setattr(specfn, "student_t_cdf", lambda x, v: args.append(np.array(x)) or real(x, v))
 
         def sampler(n, seed):
             draws.append(n)
@@ -168,11 +172,60 @@ class TestDeterminism:
 
         # every order after the first reuses the kept draws and log densities
         logpdf = lambda x: mixture_logpdf(mix, x)  # noqa: E731
-        mc_shannon(logpdf, sampler, 2 * CHUNK_SIZE, 37, threads=2)
-        mc_renyi(logpdf, sampler, 2.0, 2 * CHUNK_SIZE, 37, threads=2)
-        mc_renyi(logpdf, sampler, 5.0, 2 * CHUNK_SIZE, 37, threads=2)
-        assert draws == [2 * CHUNK_SIZE]
-        assert sizes == [CHUNK_SIZE] * 6
+        mc_shannon(logpdf, sampler, n, 37, threads=2)
+        mc_renyi(logpdf, sampler, 2.0, n, 37, threads=2)
+        mc_renyi(logpdf, sampler, 5.0, n, 37, threads=2)
+        assert draws == [n]
+        assert [a.size for a in args] == [BLOCK_SIZE] * (3 * n // BLOCK_SIZE)
+        blocked = np.sort(np.concatenate(args))
+        args.clear()
+        mixture_logpdf(mix, sample_mixture(mix, n, 37))
+        assert len(args) == 3 and blocked.tobytes() == np.sort(np.concatenate(args)).tobytes()
+
+    @pytest.mark.parametrize("n", [3 * CHUNK_SIZE + 1000, 2])
+    def test_block_edges(self, n):
+        # a partial last block, and a sample smaller than one block
+        seed, alpha = 39, 2.0
+        draws = gauss_sampler(n, seed)
+        lp = gauss_logpdf(draws)
+        expected = [(float(-np.mean(lp)), float(np.std(lp) / math.sqrt(n))),
+                    whole_array_renyi((alpha - 1.0) * lp, alpha)[:2]]
+        for threads in (1, 2, 4):
+            seen = []
+
+            def logpdf(x):
+                seen.append(x[:, 0].copy())
+                return gauss_logpdf(x)
+
+            shannon = mc_shannon(logpdf, gauss_sampler, n, seed, threads)
+            renyi = mc_renyi(logpdf, gauss_sampler, alpha, n, seed, threads)
+            assert max(len(x) for x in seen) <= BLOCK_SIZE
+            assert np.sort(np.concatenate(seen)).tobytes() == np.sort(draws[:, 0]).tobytes()
+            assert [(shannon.value, shannon.std_error), (renyi.value, renyi.std_error)] == expected
+
+    def test_no_batched_triangular_solve(self, monkeypatch):
+        # quadratic forms are worked out in numpy; only single vectors reach LAPACK
+        mix = tables.builtin_mixture("d3_m3")
+        shapes = []
+        real = linalg.solve_lower_batch
+        monkeypatch.setattr(linalg, "solve_lower_batch", lambda l, b: shapes.append(np.shape(b)) or real(l, b))
+        mc_shannon(lambda x: mixture_logpdf(mix, x), lambda k, s: sample_mixture(mix, k, s), 2 * BLOCK_SIZE, 45, 2)
+        assert shapes and all(math.prod(shape[:-1]) <= 1 for shape in shapes)
+
+    def test_working_set_of_the_evaluation(self):
+        # 65,536-row jobs peak at 11.5 MB above the kept arrays here; 16,384-row blocks at 3.0 MB
+        mix = tables.builtin_mixture("d3_m3")
+        n = 4 * CHUNK_SIZE
+        _log_densities.cache_clear()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            mc_shannon(lambda x: mixture_logpdf(mix, x), lambda k, s: sample_mixture(mix, k, s), n, 46, 2)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        kept = n * 8 + n * mix.dim * 8  # the log densities and the draws
+        assert peak - kept < 5 * 2**20
 
     def test_se_scaling(self):
         small = mc_shannon(gauss_logpdf, gauss_sampler, 250_000, 35)
