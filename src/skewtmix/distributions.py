@@ -9,12 +9,13 @@ A component has location ``mu``, SPD scale ``S``, shape vector ``delta``
               + ln G1(delta' S^{-1} (x - mu) * sqrt((v + d) / (v + Q)); v + d)
 
 with Q = (x - mu)' S^{-1} (x - mu), t_d the multivariate t density and G1
-the univariate t CDF. Equivalently, in standardized coordinates
-z = S^{-1/2}(x - mu) the skewing direction is lam = S^{-1/2} delta, so the
-scalar that controls all entropy corrections is dd = lam'lam =
-delta' S^{-1} delta. This reading was frozen after validating density
-normalization, sampler agreement, and the bundled reference entropies;
-the alternatives are retained in the test suite as rejected readings.
+the univariate t CDF. Equivalently, in Cholesky-whitened coordinates
+h = L^{-1}(x - mu), L L' = S, the skewing direction is lam = L^{-1} delta,
+so Q = h'h, delta' S^{-1} (x - mu) = h'lam, and the scalar that controls all
+entropy corrections is dd = lam'lam = delta' S^{-1} delta. This reading was
+frozen after validating density normalization, sampler agreement, and the
+bundled reference entropies; the alternatives are retained in the test
+suite as rejected readings.
 
 The matching stochastic representation, used by the sampler and by the
 moment formulas, is
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specfn
-from .linalg import SpdMatrix, log_det, quad_form, solve
+from .linalg import NotPositiveDefiniteError, SpdMatrix, _whiten, log_det, quad_form
 
 __all__ = [
     "SkewTParams",
@@ -131,23 +132,26 @@ class SkewTParams:
 class DerivedShape:
     """Quantities derived from the shape vector.
 
-    ``dd`` is the squared standardized length delta' S^{-1} delta and
-    ``delta_hat`` the moment-form shape delta / sqrt(1 + dd).
+    ``lam`` is the whitened shape L^{-1} delta (L L' = S), ``dd`` its squared
+    length delta' S^{-1} delta, ``delta_hat`` the moment form delta / sqrt(1 + dd).
     """
 
     delta_hat: np.ndarray
+    lam: np.ndarray
     dd: float
 
 
 def _standardize(p: SkewTParams) -> DerivedShape:
     # An overflowing dd is rejected below, not reported by numpy.
     with np.errstate(over="ignore"):
-        dd = float(quad_form(p.scale, p.delta))
+        lam = np.array(_whiten(p.scale, p.delta))
+        dd = float(sum(l * l for l in lam))
     if not np.isfinite(dd) or dd < 0.0:
         raise ValueError(f"shape standardization failed: delta'S^-1 delta = {dd}")
     delta_hat = p.delta / math.sqrt(1.0 + dd)
     delta_hat.setflags(write=False)
-    return DerivedShape(delta_hat=delta_hat, dd=dd)
+    lam.setflags(write=False)
+    return DerivedShape(delta_hat=delta_hat, lam=lam, dd=dd)
 
 
 def derive_shape(p: SkewTParams) -> DerivedShape:
@@ -199,8 +203,8 @@ class MixtureParams:
 
 def _check_x(p: SkewTParams, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != p.dim:
-        raise ValueError(f"dimension mismatch: x has {x.shape[-1]}, expected {p.dim}")
+    if x.ndim == 0 or x.shape[-1] != p.dim:
+        raise ValueError(f"dimension mismatch: x has {x.shape[-1] if x.ndim else 'no axis'}, expected {p.dim}")
     return x
 
 
@@ -227,12 +231,12 @@ def mt_logpdf(p: SkewTParams, x) -> float | np.ndarray:
 
 def skewt_logpdf(p: SkewTParams, x) -> float | np.ndarray:
     """Skew-t log density; reduces exactly to mt_logpdf when delta = 0."""
-    z = _check_x(p, x) - p.mu
-    q = quad_form(p.scale, z)
+    half = _whiten(p.scale, _check_x(p, x) - p.mu)
+    q = sum(h * h for h in half)
     out = _mt_log_density(p, q)
     if np.any(p.delta):
         v, d = p.dof, p.dim
-        arg = z @ solve(p.scale, p.delta) * np.sqrt((v + d) / (v + q))
+        arg = sum(h * l for h, l in zip(half, derive_shape(p).lam)) * np.sqrt((v + d) / (v + q))
         out = math.log(2.0) + out + np.log(specfn.student_t_cdf(arg, v + d))
     return float(out) if np.ndim(out) == 0 else out
 
@@ -337,7 +341,13 @@ def _chunk_ranges(n: int):
 def _psi_factor(p: SkewTParams) -> np.ndarray:
     """Cholesky factor of U's covariance S - delta_hat delta_hat', computed once per sampling call."""
     shape = derive_shape(p)
-    return SpdMatrix(p.scale.entries - np.outer(shape.delta_hat, shape.delta_hat)).cholesky_factor
+    try:
+        return SpdMatrix(p.scale.entries - np.outer(shape.delta_hat, shape.delta_hat)).cholesky_factor
+    except NotPositiveDefiniteError:
+        raise NotPositiveDefiniteError(
+            "cannot sample: U's covariance S - delta_hat delta_hat' is not positive definite "
+            f"in floating point at delta'S^-1 delta = {shape.dd:.6g}"
+        ) from None
 
 
 def _sample_component_chunk(p: SkewTParams, lower: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:

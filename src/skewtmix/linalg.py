@@ -1,16 +1,13 @@
 """Dense symmetric positive definite matrix helpers for small dimensions.
 
 Scale matrices in this package are tiny (d up to roughly 10). The
-factorizations come from numpy.linalg. ``solve`` and the triangular solves
-call LAPACK ``trtrs`` directly, through ``scipy.linalg.get_lapack_funcs``,
-without the checks and dispatch of ``scipy.linalg.solve_triangular``.
-``quad_form``, which the log densities evaluate on every batch of draws,
-calls no LAPACK routine: it substitutes forward over the d columns in
-numpy. A batched ``trtrs`` call holds the GIL in its f2py wrapper and,
-with BLAS threads unpinned, wakes BLAS threads that compete with the
-worker threads of the Monte Carlo oracles. This module adds input
-validation, the batched (..., d) layout, and one error type for matrices
-that are not positive definite.
+factorizations come from numpy.linalg, and ``solve`` and the triangular
+solves from ``scipy.linalg.solve_triangular``; nothing else in the package
+calls them. ``quad_form`` and the log densities whiten their points by a
+forward substitution L h = z over the d columns in numpy, with no LAPACK
+call, so a row's value does not depend on the batch around it. This module
+adds input validation, the batched (..., d) layout, and one error type for
+matrices that are not positive definite.
 """
 
 from __future__ import annotations
@@ -99,57 +96,55 @@ def log_det(s) -> float:
     return spd._logdet
 
 
-def _solve_triangular_batch(lower: np.ndarray, b, trans: int) -> np.ndarray:
-    b = np.asarray(b, dtype=float)
-    flat = b.reshape(-1, lower.shape[0])
-    (trtrs,) = linalg.get_lapack_funcs(("trtrs",), (lower, flat))
-    # LAPACK reads the C-ordered L as the upper factor L' in Fortran order.
-    out, info = trtrs(lower.T, flat.T, lower=0, trans=1 - trans)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"triangular solve failed: LAPACK trtrs info = {info}")
-    return out.T.reshape(b.shape)
-
-
 def solve_lower_batch(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve L y = b for lower triangular L; b has shape (..., d)."""
-    return _solve_triangular_batch(lower, b, 0)
+    b = np.asarray(b, dtype=float)
+    return linalg.solve_triangular(lower, b.reshape(-1, lower.shape[0]).T, lower=True).T.reshape(b.shape)
 
 
 def solve_upper_batch(lower: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Solve L' x = y for lower triangular L; y has shape (..., d)."""
-    return _solve_triangular_batch(lower, y, 1)
+    y = np.asarray(y, dtype=float)
+    return linalg.solve_triangular(lower, y.reshape(-1, lower.shape[0]).T, trans=1, lower=True).T.reshape(y.shape)
+
+
+def _rhs(spd: SpdMatrix, b) -> np.ndarray:
+    """b as a float array whose last axis has the dimension of S."""
+    b = np.asarray(b, dtype=float)
+    if b.ndim == 0 or b.shape[-1] != spd.dim:
+        got = b.shape[-1] if b.ndim else "no axis"
+        raise ValueError(f"dimension mismatch: matrix is {spd.dim}x{spd.dim}, vector has {got}")
+    return b
 
 
 def solve(s, b) -> np.ndarray:
     """Solve S x = b for SPD S; b may be a vector or a batch (..., d)."""
     spd = _as_spd(s)
-    b = np.asarray(b, dtype=float)
-    if b.shape[-1] != spd.dim:
-        raise ValueError(f"dimension mismatch: matrix is {spd.dim}x{spd.dim}, rhs has {b.shape[-1]}")
     l = spd.cholesky_factor
-    return solve_upper_batch(l, solve_lower_batch(l, b))
+    return solve_upper_batch(l, solve_lower_batch(l, _rhs(spd, b)))
 
 
-def quad_form(s, z) -> float | np.ndarray:
-    """Quadratic form z' S^{-1} z, nonnegative; z may be batched (..., d)."""
+def _whiten(s, z) -> list:
+    """The columns of h = L^{-1} z, L L' = S, by forward substitution in numpy; z may be batched (..., d).
+
+    Every row takes the same elementwise steps, so its result does not depend on the batch around it.
+    Callers add products of columns in column order: for d < 8 the same sum, bit for bit, as a
+    last-axis np.sum, without reducing over a short axis.
+    """
     spd = _as_spd(s)
-    z = np.asarray(z, dtype=float)
-    if z.shape[-1] != spd.dim:
-        raise ValueError(f"dimension mismatch: matrix is {spd.dim}x{spd.dim}, vector has {z.shape[-1]}")
-    # Forward substitution L h = z in numpy, one column of h at a time. Every
-    # row takes the same elementwise steps, so its result does not depend on
-    # the batch around it.
+    z = _rhs(spd, z)
     half = []
     for j, row in enumerate(spd.cholesky_factor.tolist()):
         h = z[..., j]
         for k in range(j):
             h = h - row[k] * half[k]
         half.append(h / row[j])
-    # Squared columns added in column order: for d < 8 the same sum, bit for
-    # bit, as a last-axis np.sum, without reducing over a short axis.
-    q = half[0] * half[0]
-    for h in half[1:]:
-        q += h * h
+    return half
+
+
+def quad_form(s, z) -> float | np.ndarray:
+    """Quadratic form z' S^{-1} z, nonnegative; z may be batched (..., d)."""
+    q = sum(h * h for h in _whiten(s, z))
     return float(q) if q.ndim == 0 else q
 
 

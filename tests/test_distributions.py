@@ -252,17 +252,18 @@ class TestLogpdfs:
         with pytest.raises(ValueError, match="dimension mismatch"):
             skewt_logpdf(case2, np.zeros(3))
 
-    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("width", [1, 3, None])
     @pytest.mark.parametrize("logpdf", ["mt", "skewt", "mixture"])
     def test_last_axis_must_match_dimension(self, case2, logpdf, width):
-        # an (n, 1) batch would otherwise broadcast against the d = 2 location
+        # an (n, 1) batch would otherwise broadcast against the d = 2 location; None is a 0-d x
         fn, law = {
             "mt": (mt_logpdf, case2),
             "skewt": (skewt_logpdf, case2),
             "mixture": (mixture_logpdf, make_mixture([case2], [1.0])),
         }[logpdf]
-        with pytest.raises(ValueError, match=f"dimension mismatch: x has {width}, expected 2"):
-            fn(law, np.zeros((5, width)))
+        x, has = (0.5, "no axis") if width is None else (np.zeros((5, width)), width)
+        with pytest.raises(ValueError, match=f"dimension mismatch: x has {has}, expected 2"):
+            fn(law, x)
 
 
 class TestMoments:
@@ -398,6 +399,13 @@ class TestSamplers:
         with pytest.raises(NotPositiveDefiniteError):
             sample_skewt(flat, 10, 1)
         assert sample_mixture(make_mixture([ok, flat], [1.0, 0.0]), 10, 1).shape == (10, 2)
+
+    def test_unfactorable_psi_names_its_cause(self):
+        # S - delta_hat delta_hat' = S / (1 + dd) rounds to 0 at dd = 1e16; the density still evaluates
+        p = make_component([0.0], [[1.0]], [1e8], 3.0)
+        with pytest.raises(NotPositiveDefiniteError, match=r"U's covariance S - delta_hat delta_hat' .* = 1e\+16"):
+            sample_skewt(p, 10, 1)
+        assert math.isfinite(skewt_logpdf(p, [1.0]))
 
     def test_leftover_mass_goes_to_last_positive_weight(self):
         # the weights sum to 1 - 5e-13, so u = 0.99999999999999 lies past every edge

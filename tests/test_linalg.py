@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy import linalg
 
+from skewtmix.distributions import derive_shape, skewt_logpdf
 from skewtmix.linalg import (
     NotPositiveDefiniteError,
     SpdMatrix,
+    _whiten,
     cholesky,
     log_det,
     quad_form,
@@ -17,6 +19,8 @@ from skewtmix.linalg import (
     sqrt_spd,
 )
 from skewtmix.mc import BLOCK_SIZE
+
+from conftest import make_component
 
 CASE2_SCALE = np.array([[0.7, 0.3], [0.3, 3.0]])
 
@@ -93,6 +97,10 @@ class TestSolve:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             solve(np.eye(2), np.ones(3))
+        # a 0-d input has no last axis to match, even against a 1x1 matrix
+        for fn in (solve, quad_form):
+            with pytest.raises(ValueError, match="dimension mismatch: matrix is 1x1, vector has no axis"):
+                fn(np.eye(1), 0.5)
 
 
 class TestTriangularSolves:
@@ -109,7 +117,7 @@ class TestTriangularSolves:
             assert got.tobytes() == expected.reshape(b.shape).tobytes()
 
     def test_singular_factor_raises(self):
-        with pytest.raises(np.linalg.LinAlgError, match="trtrs info = 2"):
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
             solve_lower_batch(np.array([[1.0, 0.0], [2.0, 0.0]]), np.ones(2))
 
 
@@ -171,28 +179,41 @@ class TestQuadForm:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 9])
     def test_each_row_as_if_alone(self, d):
-        # a row's result does not depend on the batch or the Monte Carlo block it is evaluated in
+        # a row's result does not depend on the batch or the Monte Carlo block it is evaluated in,
+        # for the quadratic form and for the skew-t log density built on the same substitution
         rng = np.random.default_rng(50 + d)
         s = SpdMatrix(random_spd(rng, d))
         z = rng.standard_normal((70000, d))
-        alone = np.array([quad_form(s, row) for row in z])
-        assert quad_form(s, z).tobytes() == alone.tobytes()
-        for start in range(0, len(z), BLOCK_SIZE):
-            block = z[start:start + BLOCK_SIZE]
-            assert quad_form(s, block).tobytes() == alone[start:start + len(block)].tobytes()
+        p = make_component(rng.standard_normal(d), s.entries, rng.standard_normal(d), 4.5)
+        # every 7th row alone keeps the scalar skew-t calls to a tenth of a second per d
+        for fn, step in ((lambda x: quad_form(s, x), 1), (lambda x: skewt_logpdf(p, x), 7)):
+            whole = fn(z)
+            alone = np.array([fn(row) for row in z[::step]])
+            assert whole[::step].tobytes() == alone.tobytes()
+            for start in range(0, len(z), BLOCK_SIZE):
+                assert fn(z[start:start + BLOCK_SIZE]).tobytes() == whole[start:start + BLOCK_SIZE].tobytes()
 
     def test_within_16_ulps_of_exact(self):
-        # against a 50-digit z' S^-1 z; the measured worst case here is 8.1 ulps, at d = 8
+        # against a 50-digit z' S^-1 z; the measured worst case here is 8.1 ulps, at d = 8.
+        # The skew argument h'lam = delta' S^-1 z may cancel, so its error is measured in ulps of
+        # |h| |lam| = sqrt(z' S^-1 z delta' S^-1 delta), its Cauchy-Schwarz bound: 5.7 at d = 8 and 9.
         for d in range(1, 10):
             rng = np.random.default_rng(60 + d)
             s = SpdMatrix(random_spd(rng, d))
             z = rng.standard_normal((200, d))
+            delta = rng.standard_normal(d)
+            lam = derive_shape(make_component(np.zeros(d), s.entries, delta, 4.0)).lam
+            skew = sum(h * l for h, l in zip(_whiten(s, z), lam))
             with mpmath.workdps(50):
                 inverse = mpmath.matrix(s.entries.tolist()) ** -1
-                for row, got in zip(z, quad_form(s, z)):
+                direction = inverse * mpmath.matrix(delta.tolist())
+                dd = (mpmath.matrix(delta.tolist()).T * direction)[0]
+                for row, got, got_skew in zip(z, quad_form(s, z), skew):
                     col = mpmath.matrix(row.tolist())
                     exact = (col.T * inverse * col)[0]
                     assert abs(mpmath.mpf(got) - exact) <= 16 * np.spacing(float(exact)), (d, row)
+                    bound = float(mpmath.sqrt(exact * dd))
+                    assert abs(mpmath.mpf(got_skew) - (col.T * direction)[0]) <= 16 * np.spacing(bound), (d, row)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(3)

@@ -204,13 +204,23 @@ class TestDeterminism:
             assert [(shannon.value, shannon.std_error), (renyi.value, renyi.std_error)] == expected
 
     def test_no_batched_triangular_solve(self, monkeypatch):
-        # quadratic forms are worked out in numpy; only single vectors reach LAPACK
-        mix = tables.builtin_mixture("d3_m3")
-        shapes = []
-        real = linalg.solve_lower_batch
-        monkeypatch.setattr(linalg, "solve_lower_batch", lambda l, b: shapes.append(np.shape(b)) or real(l, b))
-        mc_shannon(lambda x: mixture_logpdf(mix, x), lambda k, s: sample_mixture(mix, k, s), 2 * BLOCK_SIZE, 45, 2)
-        assert shapes and all(math.prod(shape[:-1]) <= 1 for shape in shapes)
+        # the workers whiten draws and the shape vector in numpy: no LAPACK solve is made anywhere
+        def estimate():
+            mix = tables.builtin_mixture("d3_m3")
+            return mc_shannon(lambda x: mixture_logpdf(mix, x), lambda k, s: sample_mixture(mix, k, s),
+                              2 * BLOCK_SIZE, 45, 2)
+
+        class Refused:
+            def __call__(self, *args, **kwargs):
+                raise AssertionError("a triangular solve was called")
+
+            def __getattr__(self, name):
+                raise AssertionError(f"scipy.linalg.{name} was used")
+
+        expected = estimate()
+        for name in ("solve", "solve_lower_batch", "solve_upper_batch", "linalg"):
+            monkeypatch.setattr(linalg, name, Refused())
+        assert estimate() == expected
 
     def test_working_set_of_the_evaluation(self):
         # 65,536-row jobs peak at 11.5 MB above the kept arrays here; 16,384-row blocks at 3.0 MB
