@@ -17,6 +17,12 @@ frozen after validating density normalization, sampler agreement, and the
 bundled reference entropies; the alternatives are retained in the test
 suite as rejected readings.
 
+G1 comes from ``specfn.student_t_cdf``, which for a total dof v + d in
+[1, 64] reads a per-dof Taylor table and otherwise calls ``stdtr``; each
+row's value depends on that row alone. Where G1 underflows to 0, its log
+comes from ``specfn.student_t_log_tail`` instead, so the log density
+stays finite.
+
 The matching stochastic representation, used by the sampler and by the
 moment formulas, is
 
@@ -237,7 +243,14 @@ def skewt_logpdf(p: SkewTParams, x) -> float | np.ndarray:
     if np.any(p.delta):
         v, d = p.dof, p.dim
         arg = sum(h * l for h, l in zip(half, derive_shape(p).lam)) * np.sqrt((v + d) / (v + q))
-        out = math.log(2.0) + out + np.log(specfn.student_t_cdf(arg, v + d))
+        g = specfn.student_t_cdf(arg, v + d)
+        with np.errstate(divide="ignore"):
+            log_g = np.log(g)
+        under = g == 0.0
+        if np.any(under):  # G1 underflowed: take its log in log space on those rows
+            log_g = np.array(log_g)
+            log_g[under] = specfn.student_t_log_tail(np.asarray(arg)[under], v + d)
+        out = math.log(2.0) + out + log_g
     return float(out) if np.ndim(out) == 0 else out
 
 

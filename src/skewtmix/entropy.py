@@ -236,10 +236,10 @@ def skew_correction(p: SkewTParams, *, variant: str = "frozen") -> float:
     s = math.sqrt((v + d) * dd)
 
     def fn(y):
-        g2 = 2.0 * specfn.student_t_cdf(s * y / np.hypot(math.sqrt(w), y), v + d)
+        g2 = 2.0 * specfn.student_t_cdf_stdtr(s * y / np.hypot(math.sqrt(w), y), v + d)
         if variant == "frozen":
             return xlogy(g2, g2)
-        wt = 2.0 * specfn.student_t_cdf(math.sqrt(dd) * y * np.sqrt((v + 1.0) / (v + y * y)), v + 1.0)
+        wt = 2.0 * specfn.student_t_cdf_stdtr(math.sqrt(dd) * y * np.sqrt((v + 1.0) / (v + y * y)), v + 1.0)
         return xlogy(wt, g2)
 
     rule = _sinh_sinh(lambda y: np.exp(specfn.student_t_logpdf(y, w)) * fn(y), 0.0, 1.0)
@@ -276,7 +276,7 @@ def skewt_renyi(p: SkewTParams, alpha: float, *, variant: str = "frozen") -> flo
     s = math.sqrt((v + d) * dd)
 
     def log_integrand(x):
-        g = specfn.student_t_cdf(s * x / np.hypot(math.sqrt(den), x), v + d)
+        g = specfn.student_t_cdf_stdtr(s * x / np.hypot(math.sqrt(den), x), v + d)
         with np.errstate(divide="ignore"):
             return specfn.student_t_logpdf(x, dof_x) + alpha * (_LN2 + np.log(g))
 

@@ -8,11 +8,26 @@ The closed-form entropy constants, whose arguments are valid by
 construction, call ``math.lgamma`` and ``scipy.special.psi`` directly;
 the quadrature integrands pass arrays through here.
 
+``student_t_cdf`` of one dof v in [1, 64] (a scalar, 0-d or one-element
+``v``) reads T_v from a table of 14 Taylor coefficients about each knot
+j/8 on [-16, 16]: c_0 = ``stdtr(v, t0)`` and the rest from the density's
+ODE, (v + t^2) f' = -(v + 1) t f. Horner's rule in h = t - t0 takes only
+exact clip/rint/take steps and IEEE + and *, so a row's value depends on
+(t, v) alone, never on the batch it is in; its relative error stays
+within about twice ``stdtr``'s own. Tables are built on first use,
+read-only, and kept for the 16 most recently used dofs. Rows with
+|t| > 16, any other dof, and a ``v`` of more than one value keep ``stdtr``, as
+does ``student_t_cdf_stdtr`` everywhere; the entropy quadrature calls
+that one, so its values never move and a fresh dof builds no table.
+``student_t_log_tail`` gives ln T_v(t) where T_v(t) underflows.
+
 Domain violations and NaN inputs raise ``ValueError``; they are never
 propagated silently.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy import special
@@ -23,8 +38,17 @@ __all__ = [
     "log_beta",
     "reg_inc_beta",
     "student_t_cdf",
+    "student_t_cdf_stdtr",
+    "student_t_log_tail",
     "student_t_logpdf",
 ]
+
+_KNOTS_PER_UNIT = 8  # knot step 1/8
+_REACH = 16.0  # knots on [-16, 16]
+_MID = 128  # index of the knot at 0
+_TERMS = 14
+_TABLE_DOFS = (1.0, 64.0)
+_TAIL_DEPTH = 16
 
 
 def _apply(fn, name: str, positive: tuple, unit: str = "", **args):
@@ -56,6 +80,64 @@ def _t_logpdf(x, v):
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _cdf_table(v: float) -> np.ndarray:
+    """Taylor coefficients of T_v about the knots, shape (terms, knots), read-only.
+
+    c_{k+1} = a_k / (k + 1) for the density's coefficients a_k, which its ODE gives as
+    (v + t0^2)(k + 1) a_{k+1} = -(2k + v + 1) t0 a_k - (k + v) a_{k-1}.
+    """
+    t0 = np.arange(-_MID, _MID + 1) / _KNOTS_PER_UNIT
+    table = np.empty((_TERMS, t0.size))
+    table[0] = special.stdtr(v, t0)
+    prev, a = 0.0, np.exp(_t_logpdf(t0, v))
+    for k in range(_TERMS - 1):
+        table[k + 1] = a / (k + 1)
+        prev, a = a, -((2 * k + v + 1.0) * t0 * a + (k + v) * prev) / ((k + 1) * (v + t0 * t0))
+    table.setflags(write=False)
+    return table
+
+
+def _t_cdf(x, v):
+    if v.size != 1 or not _TABLE_DOFS[0] <= v.item() <= _TABLE_DOFS[1]:
+        return special.stdtr(v, x)
+    table = _cdf_table(v.item())
+    shape = np.broadcast_shapes(x.shape, v.shape)
+    t = np.broadcast_to(x, shape).ravel()
+    h = np.clip(t, -_REACH, _REACH)
+    h *= _KNOTS_PER_UNIT
+    np.rint(h, out=h)
+    index = h.astype(np.intp)
+    index += _MID
+    h /= _KNOTS_PER_UNIT
+    np.subtract(t, h, out=h)
+    out, term = table[-1].take(index, mode="clip"), np.empty_like(h)
+    for row in table[-2::-1]:
+        out *= h
+        out += row.take(index, out=term, mode="clip")
+    far = np.abs(t) > _REACH
+    if far.any():
+        out[far] = special.stdtr(v.item(), t[far])
+    return out.reshape(shape)
+
+
+def _t_log_tail(x, v):
+    # ln T_v(x) = ln(I_w(a, 1/2) / 2) with a = v/2, w = v / (v + x^2), and
+    # I_w = w^a (1 - w)^(1/2) / (a B(a, 1/2)) / (1 + d_1 / (1 + d_2 / (1 + ...))),
+    # the incomplete beta's continued fraction, evaluated bottom-up from a fixed depth
+    a = v / 2.0
+    lu = 2.0 * np.log(np.abs(x)) - np.log(v)  # ln(x^2 / v), which cannot overflow
+    w = special.expit(-lu)
+    g = 1.0
+    for m in range(_TAIL_DEPTH, -1, -1):
+        g = 1.0 - (a + m) * (a + 0.5 + m) * w / ((a + 2 * m) * (a + 2 * m + 1)) / g
+        if m:
+            g = 1.0 + m * (0.5 - m) * w / ((a + 2 * m - 1) * (a + 2 * m)) / g
+    # 1 / (a B(a, 1/2)) = poch(a, 1/2) / (a sqrt(pi)); betaln(a, 1/2) cancels for large a
+    return (-a * np.logaddexp(0.0, lu) - 0.5 * np.logaddexp(0.0, -lu) + np.log(special.poch(a, 0.5) / a)
+            - np.log(2.0 * g) - 0.5 * np.log(np.pi))
+
+
 def log_gamma(x):
     """Natural log of the gamma function for x > 0."""
     return _apply(special.gammaln, "log_gamma", ("x",), x=x)
@@ -77,8 +159,21 @@ def reg_inc_beta(a, b, x):
 
 
 def student_t_cdf(x, v):
-    """CDF of the standard Student t with v > 0 degrees of freedom."""
-    return _apply(lambda x, v: special.stdtr(v, x), "student_t_cdf", ("v",), x=x, v=v)
+    """CDF of the standard Student t with v > 0 degrees of freedom; one dof in [1, 64] reads a table."""
+    return _apply(_t_cdf, "student_t_cdf", ("v",), x=x, v=v)
+
+
+def student_t_cdf_stdtr(x, v):
+    """CDF of the standard Student t with v > 0 degrees of freedom, by ``stdtr`` at every point."""
+    return _apply(lambda x, v: special.stdtr(v, x), "student_t_cdf_stdtr", ("v",), x=x, v=v)
+
+
+def student_t_log_tail(x, v):
+    """ln of the Student t CDF at x < 0, in log space: for the far left tail, where the CDF underflows.
+
+    The continued fraction converges for x^2 > 3; the further out, the faster.
+    """
+    return _apply(_t_log_tail, "student_t_log_tail", ("v",), x=x, v=v)
 
 
 def student_t_logpdf(x, v):

@@ -3,11 +3,12 @@ import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from skewtmix import tables
+from skewtmix import specfn, tables
 from skewtmix.distributions import (
     _ALLOC_TAG,
     CHUNK_SIZE,
@@ -247,6 +248,46 @@ class TestLogpdfs:
         mix = make_mixture(comps, np.full(m, 1.0 / m))
         x = sample_mixture(mix, 4000, 10)
         np.testing.assert_allclose(mixture_logpdf(mix, x), last_axis_mixture_logpdf(mix, x), rtol=1e-15, atol=0.0)
+
+    def test_log_density_where_the_t_cdf_underflows(self):
+        # G1 is 0 in floating point at x = -10 (dof 1e5, S = 1, delta = 4); its log is taken in log space,
+        # with no RuntimeWarning (the suite turns those into errors)
+        v, xs = 1e5, np.array([-8.0, -10.0, -12.0])
+        p = make_component([0.0], [[1.0]], [4.0], v)
+        got = skewt_logpdf(p, xs[:, None])
+        with mpmath.workdps(40):
+            for x, value in zip(xs, got):
+                x, v1 = mpmath.mpf(x), mpmath.mpf(v + 1.0)
+                arg = 4 * x * mpmath.sqrt(v1 / (v + x * x))
+                w = v1 / (v1 + arg * arg)
+                cdf = mpmath.betainc(v1 / 2, mpmath.mpf(0.5), 0, w, regularized=True) / 2
+                density = mpmath.gamma(v1 / 2) / (mpmath.gamma(mpmath.mpf(v) / 2) * mpmath.sqrt(v * mpmath.pi))
+                expected = mpmath.log(2 * density * cdf) - v1 / 2 * mpmath.log1p(x * x / v)
+                assert value == pytest.approx(float(expected), rel=1e-13)
+        assert got[1] == pytest.approx(-847.69, abs=0.01)
+        assert skewt_logpdf(p, np.array([-10.0])) == got[1]
+
+    def test_fresh_dofs_from_threads_equal_serial(self):
+        # components with dofs used nowhere else, so every t CDF table is built cold, and raced
+        rng = np.random.default_rng(71)
+        mixes = [make_mixture([make_component(rng.standard_normal(2), np.eye(2), rng.standard_normal(2),
+                                              2.0 + k + 0.1 * i + 0.0123) for i in range(3)], [0.2, 0.3, 0.5])
+                 for k in range(8)]
+        x = sample_mixture(mixes[0], 20000, 12)
+        serial = [mixture_logpdf(m, x).tobytes() for m in mixes]
+        specfn._cdf_table.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(lambda m: mixture_logpdf(m, x).tobytes(), mixes * 2))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial * 2
+        kept = specfn._cdf_table(mixes[-1].components[-1].dof + 2.0)
+        assert kept is specfn._cdf_table(mixes[-1].components[-1].dof + 2.0)
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0, 0] = 0.0
 
     def test_dimension_mismatch(self, case2):
         with pytest.raises(ValueError, match="dimension mismatch"):

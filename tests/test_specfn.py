@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from skewtmix import specfn
 
@@ -177,6 +177,78 @@ class TestStudentT:
                         fn(*args)
 
 
+def mp_t_cdf(t, v):
+    """T_v(t) at 40 significant digits, rounded to float."""
+    with mpmath.workdps(40):
+        v, t = mpmath.mpf(float(v)), mpmath.mpf(float(t))
+        tail = mpmath.betainc(v / 2, mpmath.mpf(0.5), 0, v / (v + t * t), regularized=True) / 2
+        return float(tail if t < 0 else 1 - tail)
+
+
+def mp_t_log_tail(t, v):
+    """ln T_v(t) for t < 0 at 40 significant digits, from I_w(a, 1/2) = w^a (1-w)^(1/2) 2F1(a + 1/2, 1; a + 1; w) / (a B)."""
+    with mpmath.workdps(40):
+        v, t = mpmath.mpf(float(v)), mpmath.mpf(float(t))
+        a, w = v / 2, v / (v + t * t)
+        ratio = w**a * mpmath.sqrt(1 - w) / (a * mpmath.beta(a, mpmath.mpf(0.5)))
+        return float(mpmath.log(ratio * mpmath.hyp2f1(a + mpmath.mpf(0.5), 1, a + 1, w) / 2))
+
+
+# Both window edges, integer and real dofs, and a dof just above 1.
+TABLE_DOFS = [1.0, 1.0 + 2.0**-40, 2.0, 3.7, 8.0, 12.5, 31.3, 64.0]
+
+
+class TestTCdfTable:
+    """One dof in [1, 64] reads T_v from Taylor coefficients about the knots j/8 on [-16, 16]."""
+
+    @pytest.mark.parametrize("v", TABLE_DOFS)
+    def test_within_twice_the_error_of_stdtr(self, v):
+        # knots, knot midpoints (where the Taylor remainder is largest), both sides of +-16, and the
+        # left tail beyond it down to T = 2e-41 at v = 64; the measured worst ratio is 1.5, at v = 2
+        j = np.arange(-128, 128, 2)
+        edges = [-16.0 - 2.0**-40, -16.0, -15.9375, 15.9375, 16.0, 16.0 + 2.0**-40, -20.0, -24.0, -28.0, -32.0]
+        t = np.concatenate([j / 8.0, (j + 0.5) / 8.0, edges])
+        ref = np.array([mp_t_cdf(x, v) for x in t])
+        ours = np.abs(specfn.student_t_cdf(t, v) / ref - 1.0)
+        theirs = np.abs(special.stdtr(v, t) / ref - 1.0)
+        assert ours.max() <= 2.0 * max(theirs.max(), np.finfo(float).eps)
+
+    def test_beyond_the_knots_and_outside_the_window_is_stdtr(self):
+        t = np.array([-1e6, -40.0, -16.0 - 2.0**-40, 16.0 + 2.0**-40, 17.5, 1e3])
+        for v in (1.0, 7.3, 64.0):
+            assert specfn.student_t_cdf(t, v).tobytes() == special.stdtr(v, t).tobytes()
+        t = np.linspace(-20.0, 20.0, 321)
+        for v in (0.5, 1.0 - 2.0**-40, 64.0 + 2.0**-40, 100.0, 1e5):
+            assert specfn.student_t_cdf(t, v).tobytes() == special.stdtr(v, t).tobytes()
+        two = np.array([4.0, 4.0])
+        assert specfn.student_t_cdf(t[:2], two).tobytes() == special.stdtr(two, t[:2]).tobytes()
+        assert specfn.student_t_cdf_stdtr(t, 4.0).tobytes() == special.stdtr(4.0, t).tobytes()
+
+    def test_each_value_depends_on_its_point_alone(self):
+        t = np.random.default_rng(7).standard_normal(5000) * 12.0
+        whole = specfn.student_t_cdf(t, 5.5)
+        assert np.array([specfn.student_t_cdf(x, 5.5) for x in t[::50]]).tobytes() == whole[::50].tobytes()
+        assert specfn.student_t_cdf(t[:, None], np.array([[5.5]]))[:, 0].tobytes() == whole.tobytes()
+
+
+class TestTLogTail:
+    # points where T_v(t) underflows or nearly does, across the dofs; the measured worst is 4e-15
+    @pytest.mark.parametrize("t, v", [(-38.6, 1e5), (-40.0, 1e5), (-38.5, 1e6), (-41.2, 5.6e3), (-48.1, 1.8e3),
+                                      (-862.6, 178.0), (-1e6, 64.0), (-1e108, 3.0)])
+    def test_against_mpmath(self, t, v):
+        assert specfn.student_t_log_tail(t, v) == pytest.approx(mp_t_log_tail(t, v), rel=1e-14)
+
+    def test_meets_the_log_of_stdtr_where_it_is_finite(self):
+        for v, t in [(2.0, [-1e10, -1e100]), (9.0, [-1e5, -1e30]), (1e4, [-30.0, -37.0])]:
+            t = np.array(t)
+            np.testing.assert_allclose(specfn.student_t_log_tail(t, v), np.log(special.stdtr(v, t)), rtol=1e-14)
+
+    def test_domain(self):
+        for x, v in [(-40.0, 0.0), (float("nan"), 3.0), (-40.0, float("inf"))]:
+            with pytest.raises(ValueError):
+                specfn.student_t_log_tail(x, v)
+
+
 ARGS = [
     (specfn.log_gamma, (2.5,)),
     (specfn.digamma, (2.5,)),
@@ -184,6 +256,8 @@ ARGS = [
     (specfn.reg_inc_beta, (2.5, 0.7, 0.3)),
     (specfn.student_t_cdf, (-1.3, 4.5)),
     (specfn.student_t_logpdf, (-1.3, 4.5)),
+    (specfn.student_t_cdf_stdtr, (-1.3, 4.5)),
+    (specfn.student_t_log_tail, (-40.0, 1e5)),
 ]
 
 
