@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success; 1 on validation or domain errors, among them
 ``--threads`` below 1, ``--samples`` below 2 and ``--seed`` outside
-[0, 2**64) (the config file's rules) and a malformed ``--rows`` filter;
+[0, 2**64) (the config file's rules) and a ``--rows`` filter that is
+malformed, names a column the table's rows lack or names one twice;
 2 when a reproduction run's pass rate over scored cells, at the fixed
 ``tables.DEFAULT_TOLERANCE``, drops below the threshold, or on an
 argparse usage error such as a ``--threads`` that is neither an integer
@@ -160,7 +161,9 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _parse_rows_filter(raw: str | None) -> dict:
+def _parse_rows_filter(raw: str | None, table: int) -> dict:
+    """The --rows filter as {key: value}; each key a column of the table's rows, given once."""
+    keys = ("d", "v") if table == 1 else ("d", "m")
     out = {}
     if not raw:
         return out
@@ -172,8 +175,10 @@ def _parse_rows_filter(raw: str | None) -> dict:
             raise ValueError(f"--rows filter entries look like d=1 or m=2, got {piece!r}")
         key, value = piece.split("=", 1)
         key = key.strip()
-        if key not in ("d", "m", "v"):
-            raise ValueError(f"unknown row filter key {key!r} (use d, m, or v)")
+        if key not in keys:
+            raise ValueError(f"row filter key {key!r} is not a column of table {table} (use {' or '.join(keys)})")
+        if key in out:
+            raise ValueError(f"row filter key {key!r} is given twice")
         try:
             out[key] = int(value)
         except ValueError:
@@ -255,7 +260,7 @@ def _property_rows(case, shapes, orders, filters, seed, samples, threads):
 
 
 def _cmd_reproduce(args) -> int:
-    filters = _parse_rows_filter(args.rows)
+    filters = _parse_rows_filter(args.rows, args.table)
     seed, samples, threads = _run_options(args, DEFAULT_SEED, DEFAULT_SAMPLES)
     if args.table == 1:
         rows = _reproduce_table1(filters)
@@ -321,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("reproduce", help="compare against the bundled reference tables")
     common(p_rep, needs_config=False)
     p_rep.add_argument("--table", type=int, choices=(1, 2, 3), required=True, help="reference table id")
-    p_rep.add_argument("--rows", default=None, help="filter like 'd=1' or 'd=1,m=2'")
+    p_rep.add_argument("--rows", default=None,
+                       help="filter like 'd=1' or 'd=1,m=2': d and v for table 1, d and m for tables 2 and 3")
     p_rep.set_defaults(func=_cmd_reproduce)
     return parser
 

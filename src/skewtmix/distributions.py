@@ -211,6 +211,10 @@ def _check_x(p: SkewTParams, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != p.dim:
         raise ValueError(f"dimension mismatch: x has {x.shape[-1] if x.ndim else 'no axis'}, expected {p.dim}")
+    finite = np.isfinite(x)
+    if not finite.all():
+        index = np.argwhere(~finite)[0].tolist()
+        raise ValueError(f"x must be finite, got x{index} = {x[tuple(index)]}")
     return x
 
 
@@ -366,6 +370,8 @@ def _psi_factor(p: SkewTParams) -> np.ndarray:
 def _sample_component_chunk(p: SkewTParams, lower: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
     delta_hat = derive_shape(p).delta_hat
     w = rng.gamma(p.dof / 2.0, 2.0 / p.dof, size=count)
+    if not w.all():
+        raise ArithmeticError(f"cannot sample at dof {p.dof:g}: a Gamma(v/2, 2/v) mixing draw underflowed to 0")
     u0 = np.abs(rng.standard_normal(count))
     u = rng.standard_normal((count, p.dim)) @ lower.T
     return p.mu + (delta_hat[None, :] * u0[:, None] + u) / np.sqrt(w)[:, None]

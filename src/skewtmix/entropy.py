@@ -29,6 +29,7 @@ gate can quantify them; production callers use the defaults.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import NamedTuple
 
@@ -54,8 +55,6 @@ _HALF_PI = 0.5 * math.pi
 # Nodes span t in [-5, 5], |x - x0| up to ~1e50 scales, past which a dof-v t tail holds ~1e-50v.
 _DE_T_MAX = 5.0
 _DE_FIRST_STEP = 0.125
-# Levels the first integrand call evaluates: steps 1/8, 1/16 and 1/32 (321 nodes).
-_DE_FIRST_LEVELS = 3
 # The finest step in t (81,921 nodes in all): fine enough for delta' S^-1 delta up to 1e6.
 _DE_MIN_STEP = 1.0 / 8192
 _ABS_TOL = _REL_TOL = 1e-9
@@ -78,10 +77,11 @@ class _Quadrature(NamedTuple):
 def _level(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(cosh t, cosh u, sinh u), u = pi/2 sinh t, at the nodes t that level k adds; read-only.
 
-    Level k has step h = 1/2^(k+3) on |t| <= 5: level 0 holds every multiple
-    of h, each later level the odd ones.
+    Level 0 holds every multiple of 1/32 on |t| <= 5 in ascending order
+    (321 nodes), the levels of steps 1/8, 1/16 and 1/32 in one table. Each
+    level k >= 3 adds the odd multiples of its step 1/2^(k+3).
     """
-    h = _DE_FIRST_STEP / 2**k
+    h = _DE_FIRST_STEP / 2**k if k else _DE_FIRST_STEP / 4
     n = round(_DE_T_MAX / h)
     j = np.arange(-n, n + 1)
     t = h * (j if k == 0 else j[1::2])
@@ -92,47 +92,36 @@ def _level(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table
 
 
-@functools.cache
-def _first_levels() -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], tuple[slice, ...]]:
-    """The tables of the first _DE_FIRST_LEVELS levels joined in order (read-only), and each level's slice of them."""
-    tables = [_level(k) for k in range(_DE_FIRST_LEVELS)]
-    joined = tuple(np.concatenate(col) for col in zip(*tables))
-    for arr in joined:
-        arr.setflags(write=False)
-    edges = np.cumsum([0] + [table[0].size for table in tables]).tolist()
-    return joined, tuple(map(slice, edges[:-1], edges[1:]))
-
-
 def _sinh_sinh(fn, x0: float, scale: float, *, log: bool = False) -> _Quadrature:
     """Integral of fn over the real line by the nested sinh-sinh rule.
 
     The double-exponential rule of Takahasi & Mori (1974): the trapezoid
     rule in t after x = x0 + scale sinh(pi/2 sinh t). ``fn`` maps an array
     of nodes to integrand values, or to their logs with ``log=True``, which
-    returns the log of the integral. The first call evaluates the levels of
-    steps 1/8, 1/16 and 1/32; each further level halves the step and adds
-    the odd nodes, until the last two levels, whose difference is the
-    error, agree within the tolerances or the step reaches 1/8192.
-    ``points`` counts the nodes evaluated.
+    returns the log of the integral. The first call evaluates level 0, the
+    step-1/32 grid, and reads the levels of steps 1/8, 1/16 and 1/32 as its
+    strides ``[::4]``, ``[2::4]`` and ``[1::2]``; each further level halves
+    the step and adds the odd nodes in one call, until the last two levels,
+    whose difference is the error, agree within the tolerances or the step
+    reaches 1/8192. ``points`` counts the nodes evaluated.
     """
-    shift = None
+    shift, points = None, 0
 
     def terms(cosh_t, cosh_u, sinh_u):
-        nonlocal shift
+        nonlocal shift, points
+        points += cosh_t.size
         jac = scale * _HALF_PI * cosh_t * cosh_u
         vals = fn(x0 + scale * sinh_u)
         if not log:
             return vals * jac
         logs = vals + np.log(jac)
-        if shift is None:
-            shift = float(np.max(logs[slices[0]]))
+        if shift is None:  # the step-1/8 nodes of the first call
+            shift = float(np.max(logs[::4]))
         return np.exp(logs - shift)
 
-    table, slices = _first_levels()
-    block = terms(*table)
-    points = block.size
-    h, k = _DE_FIRST_STEP, 0
-    f = block[slices[0]]
+    block = terms(*_level(0))
+    finer = itertools.chain((block[2::4], block[1::2]), (terms(*_level(k)) for k in itertools.count(3)))
+    h, f = _DE_FIRST_STEP, block[::4]
     coarse, fine = 2.0 * h * float(np.sum(f[::2])), h * float(np.sum(f))
     while True:
         if log:
@@ -142,12 +131,7 @@ def _sinh_sinh(fn, x0: float, scale: float, *, log: bool = False) -> _Quadrature
         converged = error <= max(_ABS_TOL, _REL_TOL * abs(value))
         if converged or h == _DE_MIN_STEP:
             return _Quadrature(value, error, points, converged)
-        h, k = h / 2.0, k + 1
-        if k < _DE_FIRST_LEVELS:
-            f = block[slices[k]]
-        else:
-            f = terms(*_level(k))
-            points += f.size
+        h, f = h / 2.0, next(finer)
         coarse, fine = fine, 0.5 * fine + h * float(np.sum(f))
 
 

@@ -189,6 +189,13 @@ class TestEntropyCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: components[0].scale: matrix is not symmetric")
 
+    @pytest.mark.parametrize("delta", [1.0, 0.0])
+    def test_underflowing_dof_mc_exits_one(self, tmp_path, capsys, delta):
+        cfg = write_config(tmp_path, {"components": [{"mu": [0.0], "scale": [[1.0]], "delta": [delta], "dof": 0.02}]})
+        code, out, err = run_cli(capsys, "entropy", cfg, "--method", "mc", "--samples", "20000", "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: cannot sample at dof 0.02: a Gamma(v/2, 2/v) mixing draw underflowed to 0\n"
+
     def test_exact_rejects_mixture(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MIX_M2)
         code, _, err = run_cli(capsys, "entropy", cfg, "--method", "exact")
@@ -370,8 +377,9 @@ class TestReproduceCommand:
         assert "argument --table: invalid choice: 9" in capsys.readouterr().err
 
     def test_bad_filter(self, capsys):
-        for rows in ("q=3", "d=x", "v=4.5"):
-            code, out, err = run_cli(capsys, "reproduce", "--table", "1", "--rows", rows)
+        for table, rows in (("1", "q=3"), ("1", "d=x"), ("1", "v=4.5"), ("1", "m=2"), ("2", "v=3"),
+                            ("3", "v=3"), ("1", "d=1,d=2"), ("2", "m=2, m=3")):
+            code, out, err = run_cli(capsys, "reproduce", "--table", table, "--rows", rows)
             assert code == 1
             assert out == ""
             assert "row filter" in err

@@ -293,18 +293,31 @@ class TestLogpdfs:
         with pytest.raises(ValueError, match="dimension mismatch"):
             skewt_logpdf(case2, np.zeros(3))
 
+    @staticmethod
+    def logpdf_of(name, p):
+        if name == "mixture":
+            return mixture_logpdf, make_mixture([p], [1.0])
+        return {"mt": mt_logpdf, "skewt": skewt_logpdf}[name], p
+
     @pytest.mark.parametrize("width", [1, 3, None])
     @pytest.mark.parametrize("logpdf", ["mt", "skewt", "mixture"])
     def test_last_axis_must_match_dimension(self, case2, logpdf, width):
         # an (n, 1) batch would otherwise broadcast against the d = 2 location; None is a 0-d x
-        fn, law = {
-            "mt": (mt_logpdf, case2),
-            "skewt": (skewt_logpdf, case2),
-            "mixture": (mixture_logpdf, make_mixture([case2], [1.0])),
-        }[logpdf]
+        fn, law = self.logpdf_of(logpdf, case2)
         x, has = (0.5, "no axis") if width is None else (np.zeros((5, width)), width)
         with pytest.raises(ValueError, match=f"dimension mismatch: x has {has}, expected 2"):
             fn(law, x)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("logpdf", ["mt", "skewt", "mixture"])
+    def test_non_finite_x_rejected(self, case2, logpdf, bad):
+        fn, law = self.logpdf_of(logpdf, case2)
+        x = np.zeros((3, 2))
+        x[1, 0] = bad
+        with pytest.raises(ValueError, match=rf"x must be finite, got x\[1, 0\] = {bad}"):
+            fn(law, x)
+        with pytest.raises(ValueError, match=rf"x must be finite, got x\[1\] = {bad}"):
+            fn(law, x[1, ::-1])
 
 
 class TestMoments:
@@ -447,6 +460,17 @@ class TestSamplers:
         with pytest.raises(NotPositiveDefiniteError, match=r"U's covariance S - delta_hat delta_hat' .* = 1e\+16"):
             sample_skewt(p, 10, 1)
         assert math.isfinite(skewt_logpdf(p, [1.0]))
+
+    @pytest.mark.parametrize("delta", [1.0, 0.0])
+    def test_underflowed_mixing_draw_names_the_dof(self, delta):
+        # at dof 0.02 about one Gamma(0.01, 100) draw in 1,800 rounds to 0, so a row would be infinite
+        p = make_component([0.0], [[1.0]], [delta], 0.02)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="cannot sample at dof 0.02: .* mixing draw underflowed to 0"):
+                sample_skewt(p, 200_000, 1)
+            with pytest.raises(ArithmeticError, match="dof 0.02"):
+                sample_mixture(make_mixture([p], [1.0]), 200_000, 1)
 
     def test_leftover_mass_goes_to_last_positive_weight(self):
         # the weights sum to 1 - 5e-13, so u = 0.99999999999999 lies past every edge

@@ -487,7 +487,6 @@ class TestRuleBookkeeping:
         jobs = [(p, kind) for p in (case1, case2, case3, skewed) for kind in RULE_ENTROPIES] * 3
         serial = [RULE_ENTROPIES[kind](fresh(p)) for p, kind in jobs]
         entropy_module._level.cache_clear()
-        entropy_module._first_levels.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -497,6 +496,19 @@ class TestRuleBookkeeping:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
+
+    def test_level_tables_tile_the_finest_grid(self):
+        # each node's t, recovered from sinh u and rounded to the step-1/8192 grid
+        levels = [entropy_module._level(k) for k in (0, *range(3, 11))]
+        grids = []
+        for table in levels:
+            assert not any(arr.flags.writeable for arr in table)
+            t = np.arcsinh(np.arcsinh(table[2]) / (0.5 * math.pi))
+            j = np.rint(8192 * t)
+            assert np.abs(8192 * t - j).max() < 1e-6
+            grids.append(j)
+        assert grids[0].size == 321 and np.all(np.diff(grids[0]) == 256)
+        assert np.array_equal(np.sort(np.concatenate(grids)), np.arange(-40960, 40961))
 
     # A perf guard without timing: a cold call makes one integrand call for the
     # first three levels, plus the peak probe of the Renyi rule.

@@ -1,10 +1,13 @@
-"""The benchmark's tracer must find every function it wraps by name."""
+"""The benchmark's tracer must find every function it wraps by name, and its own tests must pass."""
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -24,3 +27,10 @@ def test_install_and_uninstall():
     finally:
         tracer.uninstall()
     assert all(getattr(modules[name], f) is fn for (name, f), fn in originals.items())
+
+
+def test_benchmark_selftest_passes():
+    # its pins (mc.draws equal to the demand, bounds.compositions > 0, record coverage) hold on this tree
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench/selftest.py"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
