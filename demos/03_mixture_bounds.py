@@ -32,7 +32,7 @@ SEED = 20240601
 
 mix = mixture_d1(2)
 logpdf = lambda x: mixture_logpdf(mix, x)  # noqa: E731
-sampler = lambda n, s: sample_mixture(mix, n, s)  # noqa: E731
+sampler = lambda count, s, c: sample_mixture(mix, count, s, chunk=c)  # noqa: E731
 
 print("== two-component mixture, Shannon ==")
 paper_style = shannon_bounds(mix, convention="paper")
@@ -66,7 +66,8 @@ centered = MixtureParams(
 )
 report_c = renyi_bounds(centered, 2)
 oracle_c = mc_renyi(
-    lambda x: mixture_logpdf(centered, x), lambda n, s: sample_mixture(centered, n, s),
+    lambda x: mixture_logpdf(centered, x),
+    lambda count, s, c: sample_mixture(centered, count, s, chunk=c),
     2.0, N, SEED,
 )
 excess = oracle_c.value - report_c.upper

@@ -27,7 +27,7 @@ from skewtmix import (
 N = 400_000
 target = SkewTParams(mu=[0.0], scale=SpdMatrix([[1.5]]), delta=[0.0], dof=3.0)
 logpdf = lambda x: skewt_logpdf(target, x)  # noqa: E731
-sampler = lambda n, s: sample_skewt(target, n, s)  # noqa: E731
+sampler = lambda count, s, c: sample_skewt(target, count, s, chunk=c)  # noqa: E731
 
 print("== plain Monte Carlo vs closed forms (symmetric t) ==")
 est = mc_renyi(logpdf, sampler, 2.0, N, seed=1)
@@ -39,7 +39,7 @@ print(f"proposal dof: {proposal.dof} (target {target.dof})")
 imp = is_renyi(
     logpdf,
     lambda x: skewt_logpdf(proposal, x),
-    lambda n, s: sample_skewt(proposal, n, s),
+    lambda count, s, c: sample_skewt(proposal, count, s, chunk=c),
     5.0, N, seed=2,
 )
 print(f"is_renyi(5): {imp.value:.4f} +- {imp.std_error:.4f}   closed form {mt_renyi(target, 5.0):.4f}")
@@ -53,7 +53,7 @@ with warnings.catch_warnings(record=True) as caught:
     bad = is_renyi(
         lambda x: skewt_logpdf(wide, x),
         lambda x: skewt_logpdf(narrow, x),
-        lambda n, s: sample_skewt(narrow, n, s),
+        lambda count, s, c: sample_skewt(narrow, count, s, chunk=c),
         2.0, 50_000, seed=3,
     )
 print(f"low_ess flag: {bad.low_ess}; ess = {bad.ess:.1f}; warning: {caught[0].message}")

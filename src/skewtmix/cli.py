@@ -96,9 +96,9 @@ def _oracles(mixture, alphas, samples, seed, threads, method="mc"):
     if method == "is":
         proposal = fat_proposal(mixture)
         proposal_logpdf = lambda x: mixture_logpdf(proposal, x)  # noqa: E731
-        sampler = lambda n, s: sample_mixture(proposal, n, s)  # noqa: E731
+        sampler = lambda count, s, c: sample_mixture(proposal, count, s, chunk=c)  # noqa: E731
     else:
-        sampler = lambda n, s: sample_mixture(mixture, n, s)  # noqa: E731
+        sampler = lambda count, s, c: sample_mixture(mixture, count, s, chunk=c)  # noqa: E731
     for alpha in alphas:
         if method == "is":
             if alpha == "shannon":

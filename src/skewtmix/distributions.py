@@ -20,8 +20,9 @@ suite as rejected readings.
 G1 comes from ``specfn.student_t_cdf``, which for a total dof v + d in
 [1, 64] reads a per-dof Taylor table and otherwise calls ``stdtr``; each
 row's value depends on that row alone. Where G1 underflows to 0, its log
-comes from ``specfn.student_t_log_tail`` instead, so the log density
-stays finite.
+comes from ``specfn.student_t_log_tail`` instead, and where Q overflows
+(|h| beyond about 1e154) Q and the skew argument are formed at a scale on
+those rows, so the log density stays finite at every finite x.
 
 The matching stochastic representation, used by the sampler and by the
 moment formulas, is
@@ -34,8 +35,9 @@ all independent. ``delta = 0`` recovers the multivariate t exactly.
 
 Sampling is deterministic for a fixed seed in [0, 2**64): draws are
 produced in fixed size chunks, and chunk c of a run with seed s uses the
-counter-based Philox stream keyed by (s, c), so chunked parallel
-generation and serial generation agree bit for bit.
+counter-based Philox stream keyed by (s, c). The samplers' ``chunk=``
+form draws one chunk alone, the same rows in any order and on any thread;
+``mc`` draws each chunk on the pool worker that evaluates it.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specfn
-from .linalg import NotPositiveDefiniteError, SpdMatrix, _whiten, log_det, quad_form
+from .linalg import NotPositiveDefiniteError, SpdMatrix, _whiten, log_det
 
 __all__ = [
     "SkewTParams",
@@ -228,25 +230,56 @@ def _mt_log_norm(v: float, d: int, logdet: float) -> float:
     return math.lgamma((v + d) / 2.0) - (math.lgamma(v / 2.0) + d / 2.0 * math.log(v * math.pi)) - 0.5 * logdet
 
 
-def _mt_log_density(p: SkewTParams, q):
+def _radial_terms(p: SkewTParams, x: np.ndarray, lam=None):
+    """log1p(Q/v) at x and, given the whitened shape lam, the skew argument h'lam sqrt((v + d) / (v + Q)).
+
+    h = L^{-1}(x - mu) with L L' = S, and Q = h'h. On a row whose Q is not
+    finite (|h| beyond about 1e154), both are formed again from x and mu
+    divided by s, the row's largest |x| or |mu| entry: with h and Q the
+    whitened point and its form at that scale, log1p(Q s^2 / v) is
+    logaddexp(ln Q + 2 ln s - ln v, 0) and the argument is
+    h'lam sqrt((v + d) / (Q + v / s^2)). Every other row takes the plain
+    formulas.
+    """
     v, d = p.dof, p.dim
-    return _mt_log_norm(v, d, log_det(p.scale)) - (v + d) / 2.0 * np.log1p(q / v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = _whiten(p.scale, x - p.mu)
+        q = sum(h * h for h in half)
+        log_q = np.log1p(q / v)
+        arg = None if lam is None else sum(h * l for h, l in zip(half, lam)) * np.sqrt((v + d) / (v + q))
+    if np.isfinite(np.max(q, initial=0.0)):  # max propagates NaN; initial admits an empty batch
+        return log_q, arg
+    big = ~np.isfinite(q)
+    rows = x[big]
+    s = np.maximum(np.max(np.abs(rows), axis=-1), np.max(np.abs(p.mu)))[:, None]
+    half = _whiten(p.scale, rows / s - p.mu / s)
+    q, s = sum(h * h for h in half), s[:, 0]
+    log_q = np.array(log_q)
+    log_q[big] = np.logaddexp(np.log(q) + 2.0 * np.log(s) - math.log(v), 0.0)
+    if lam is not None:
+        arg = np.array(arg)
+        arg[big] = sum(h * l for h, l in zip(half, lam)) * np.sqrt((v + d) / (q + v / s / s))
+    return log_q, arg
+
+
+def _mt_log_density(p: SkewTParams, log_q):
+    v, d = p.dof, p.dim
+    return _mt_log_norm(v, d, log_det(p.scale)) - (v + d) / 2.0 * log_q
 
 
 def mt_logpdf(p: SkewTParams, x) -> float | np.ndarray:
     """Multivariate t log density (the shape vector is ignored)."""
-    out = _mt_log_density(p, quad_form(p.scale, _check_x(p, x) - p.mu))
+    out = _mt_log_density(p, _radial_terms(p, _check_x(p, x))[0])
     return float(out) if np.ndim(out) == 0 else out
 
 
 def skewt_logpdf(p: SkewTParams, x) -> float | np.ndarray:
     """Skew-t log density; reduces exactly to mt_logpdf when delta = 0."""
-    half = _whiten(p.scale, _check_x(p, x) - p.mu)
-    q = sum(h * h for h in half)
-    out = _mt_log_density(p, q)
-    if np.any(p.delta):
+    skewed = bool(np.any(p.delta))
+    log_q, arg = _radial_terms(p, _check_x(p, x), derive_shape(p).lam if skewed else None)
+    out = _mt_log_density(p, log_q)
+    if skewed:
         v, d = p.dof, p.dim
-        arg = sum(h * l for h, l in zip(half, derive_shape(p).lam)) * np.sqrt((v + d) / (v + q))
         g = specfn.student_t_cdf(arg, v + d)
         with np.errstate(divide="ignore"):
             log_g = np.log(g)
@@ -350,7 +383,11 @@ def _stream(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _chunk_ranges(n: int):
+def _chunk_ranges(n: int, chunk: int | None):
+    """(chunk, start, stop) of every chunk of an n-row draw, or of the one n-row chunk asked for."""
+    if chunk is not None:
+        yield chunk, 0, n
+        return
     for c, start in enumerate(range(0, n, CHUNK_SIZE)):
         yield c, start, min(start + CHUNK_SIZE, n)
 
@@ -368,27 +405,39 @@ def _psi_factor(p: SkewTParams) -> np.ndarray:
 
 
 def _sample_component_chunk(p: SkewTParams, lower: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    delta_hat = derive_shape(p).delta_hat
+    """count rows mu + (delta_hat |U0| + U) / sqrt(W), built in place in one (count, d) array."""
     w = rng.gamma(p.dof / 2.0, 2.0 / p.dof, size=count)
     if not w.all():
         raise ArithmeticError(f"cannot sample at dof {p.dof:g}: a Gamma(v/2, 2/v) mixing draw underflowed to 0")
-    u0 = np.abs(rng.standard_normal(count))
+    u0 = rng.standard_normal(count)
     u = rng.standard_normal((count, p.dim)) @ lower.T
-    return p.mu + (delta_hat[None, :] * u0[:, None] + u) / np.sqrt(w)[:, None]
+    rows = np.multiply(np.abs(u0, out=u0)[:, None], derive_shape(p).delta_hat)
+    rows += u
+    rows /= np.sqrt(w, out=w)[:, None]
+    rows += p.mu
+    return rows
 
 
-def _check_request(n: int, seed: int) -> None:
+def _check_request(n: int, seed: int, chunk: int | None) -> None:
     if n < 1:
         raise ValueError("n must be at least 1")
     _check_u64("seed", seed)
+    if chunk is not None:
+        _check_u64("chunk", chunk)
+        if n > CHUNK_SIZE:
+            raise ValueError(f"a chunk holds at most CHUNK_SIZE = {CHUNK_SIZE} rows, got n = {n}")
 
 
-def sample_skewt(p: SkewTParams, n: int, seed: int) -> np.ndarray:
-    """Draw n rows from the skew-t law; bit-identical for a fixed seed."""
-    _check_request(n, seed)
+def sample_skewt(p: SkewTParams, n: int, seed: int, chunk: int | None = None) -> np.ndarray:
+    """Draw n rows from the skew-t law; bit-identical for a fixed seed.
+
+    With ``chunk`` c, draw only that chunk's n <= CHUNK_SIZE rows: rows
+    c * CHUNK_SIZE onward of every longer draw whose chunk c holds n rows.
+    """
+    _check_request(n, seed, chunk)
     out = np.empty((n, p.dim))
     lower = _psi_factor(p)
-    for c, start, stop in _chunk_ranges(n):
+    for c, start, stop in _chunk_ranges(n, chunk):
         out[start:stop] = _sample_component_chunk(p, lower, stop - start, _stream(seed, c))
     return out
 
@@ -407,21 +456,21 @@ def _component_labels(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(labels, np.flatnonzero(weights)[-1], out=labels)
 
 
-def sample_mixture(m: MixtureParams, n: int, seed: int) -> np.ndarray:
-    """Draw n rows from the mixture.
+def sample_mixture(m: MixtureParams, n: int, seed: int, chunk: int | None = None) -> np.ndarray:
+    """Draw n rows from the mixture; ``chunk`` draws one chunk, as in sample_skewt.
 
     Each chunk first allocates rows to components from a dedicated
     allocation stream, then fills every component's rows from that
     component's own derived stream. A single-component mixture therefore
     produces exactly sample_skewt(component, n, component_seed(seed, 0)).
     """
-    _check_request(n, seed)
+    _check_request(n, seed, chunk)
     out = np.empty((n, m.dim))
     alloc_seed = component_seed(seed, _ALLOC_TAG)
     seeds = [component_seed(seed, i) for i in range(m.n_components)]
     # A component of weight 0 is never drawn, so its factor is never needed.
     lowers = [_psi_factor(comp) if w > 0.0 else None for comp, w in zip(m.components, m.weights)]
-    for c, start, stop in _chunk_ranges(n):
+    for c, start, stop in _chunk_ranges(n, chunk):
         labels = _component_labels(m.weights, _stream(alloc_seed, c).random(stop - start))
         block = out[start:stop]
         for i, comp in enumerate(m.components):

@@ -4,19 +4,25 @@ These estimators are the ground truth the formula modules are validated
 against. They only need a log density and a sampler, so they work for
 any law in the package (and for the closed-form test laws).
 
-Determinism: samplers in this package derive all randomness from
-(seed, chunk) counter streams. The draws are made serially, then every log
-density is evaluated in fixed blocks of BLOCK_SIZE rows, each written into
-its own slice, and the reductions run over the whole arrays afterwards, so
-estimates are bit-identical for a fixed seed no matter how many worker
-threads evaluate the integrand. Small blocks keep the working set of each
-job small.
+Sampler contract: ``sampler(count, seed, chunk)`` returns the ``count``
+rows of chunk ``chunk`` of the seed's sample, where chunk c of an n-row
+sample holds rows c * CHUNK_SIZE up to min((c + 1) * CHUNK_SIZE, n); the
+package samplers' ``chunk=`` form is one. Their chunk c comes from the
+counter-based Philox stream keyed by (seed, c), so chunks can be drawn in
+any order on any thread with the same rows.
+
+Determinism: each chunk is one job on a pool of worker threads. A job draws
+its chunk, evaluates every log density on it in fixed blocks of BLOCK_SIZE
+rows, and writes each block into its own slice of the output; the
+reductions run over the whole arrays afterwards. So estimates are
+bit-identical for a fixed seed no matter how many worker threads run the
+jobs, and no job holds more than one chunk of draws.
 
 Samplers and log densities must be pure functions of their arguments.
 The last draw-and-evaluate result is kept, keyed on the sampler, n, seed,
 threads and the log-density callables, so estimators called in turn with
 the same callables (one per order) share one sample and one evaluation.
-The kept arrays are read-only; a failed evaluation is not kept.
+The kept arrays are read-only; a failed draw or evaluation is not kept.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import MixtureParams, SkewTParams, _check_order, _warn_at_caller
+from .distributions import CHUNK_SIZE, MixtureParams, SkewTParams, _check_order, _warn_at_caller
 
 __all__ = [
     "Estimate",
@@ -42,7 +48,7 @@ __all__ = [
 PLAIN_MC = "plain_mc"
 IMPORTANCE = "importance"
 ESS_RATIO_FLOOR = 0.01  # is_renyi flags an ESS below this share of n
-BLOCK_SIZE = 1 << 14  # rows of draws per log-density evaluation job
+BLOCK_SIZE = 1 << 14  # rows of draws per log-density call; divides CHUNK_SIZE
 
 
 class LowEffectiveSampleSize(UserWarning):
@@ -66,25 +72,29 @@ class Estimate:
 def _log_densities(sampler, n: int, seed: int, threads: int, *logpdfs) -> tuple:
     """Draw n points once and evaluate each log density on them, all finite.
 
-    Every log density is evaluated BLOCK_SIZE rows at a time on one pool of
-    ``threads`` workers, each block written in place into its slice of the
-    output array.
-    The last result is kept and returned again, read-only, for equal
-    arguments; the callables compare by identity.
+    Each CHUNK_SIZE-row chunk is one job on a pool of ``threads`` workers:
+    it draws the chunk and evaluates every log density on it BLOCK_SIZE rows
+    at a time, each block written in place into its slice of the output.
+    The first failed job's exception reaches the caller unchanged. The last
+    result is kept and returned again, read-only, for equal arguments; the
+    callables compare by identity.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    draws = sampler(n, seed)
-    out = [np.empty(len(draws)) for _ in logpdfs]
+    out = [np.empty(n) for _ in logpdfs]
 
-    def work(job):
-        lp, logpdf, start = job
-        lp[start:start + BLOCK_SIZE] = logpdf(draws[start:start + BLOCK_SIZE])
+    def work(chunk):
+        start = chunk * CHUNK_SIZE
+        count = min(CHUNK_SIZE, n - start)
+        draws = sampler(count, seed, chunk)
+        if len(draws) != count:
+            raise ValueError(f"sampler returned {len(draws)} rows for chunk {chunk}, expected {count}")
+        for b in range(0, count, BLOCK_SIZE):
+            for lp, logpdf in zip(out, logpdfs):
+                lp[start + b:start + b + BLOCK_SIZE] = logpdf(draws[b:b + BLOCK_SIZE])
 
-    starts = range(0, len(draws), BLOCK_SIZE)
-    jobs = [(lp, logpdf, start) for lp, logpdf in zip(out, logpdfs) for start in starts]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(work, jobs))
+        list(pool.map(work, range(-(-n // CHUNK_SIZE))))
     for lp in out:
         bad = np.flatnonzero(~np.isfinite(lp))
         if bad.size:

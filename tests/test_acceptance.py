@@ -77,10 +77,10 @@ def oracle_estimates(law, n, seed, alphas):
     """Shared-draw MC estimates of H and R_alpha with standard errors."""
     if isinstance(law, MixtureParams):
         logpdf = lambda x: mixture_logpdf(law, x)  # noqa: E731
-        sampler = lambda k, s: sample_mixture(law, k, s)  # noqa: E731
+        sampler = lambda k, s, c: sample_mixture(law, k, s, chunk=c)  # noqa: E731
     else:
         logpdf = lambda x: skewt_logpdf(law, x)  # noqa: E731
-        sampler = lambda k, s: sample_skewt(law, k, s)  # noqa: E731
+        sampler = lambda k, s, c: sample_skewt(law, k, s, chunk=c)  # noqa: E731
     # the same callables for every statistic, so all of them share one draw and evaluation
     ests = {"shannon": mc_shannon(logpdf, sampler, n, seed, threads=2)}
     ests.update((alpha, mc_renyi(logpdf, sampler, alpha, n, seed, threads=2)) for alpha in alphas)
@@ -291,14 +291,9 @@ def test_criterion8_estimator_self_consistency():
         xx = np.asarray(x)[..., 0]
         return -0.5 * math.log(2 * math.pi) - 0.5 * xx * xx
 
-    def gauss_sampler(count, seed):
-        out = np.empty((count, 1))
-        chunk = 1 << 16
-        for c, start in enumerate(range(0, count, chunk)):
-            stop = min(start + chunk, count)
-            rng = np.random.Generator(np.random.Philox(key=np.array([seed, c], dtype=np.uint64)))
-            out[start:stop, 0] = rng.standard_normal(stop - start)
-        return out
+    def gauss_sampler(count, seed, chunk):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
+        return rng.standard_normal(count)[:, None]
 
     est_h = mc_shannon(gauss_logpdf, gauss_sampler, n, SEED)
     target_h = 0.5 * math.log(2 * math.pi * math.e)
@@ -320,10 +315,10 @@ def test_criterion8_estimator_self_consistency():
             prop_logpdf, prop_sampler = logpdf, sampler
         else:
             logpdf = lambda x, p=law: skewt_logpdf(p, x)  # noqa: E731
-            sampler = lambda c, s, p=law: sample_skewt(p, c, s)  # noqa: E731
+            sampler = lambda k, s, c, p=law: sample_skewt(p, k, s, chunk=c)  # noqa: E731
             prop = fat_proposal(law)
             prop_logpdf = lambda x, p=prop: skewt_logpdf(p, x)  # noqa: E731
-            prop_sampler = lambda c, s, p=prop: sample_skewt(p, c, s)  # noqa: E731
+            prop_sampler = lambda k, s, c, p=prop: sample_skewt(p, k, s, chunk=c)  # noqa: E731
         plain = mc_renyi(logpdf, sampler, 2.0, n, SEED + 1)
         importance = is_renyi(logpdf, prop_logpdf, prop_sampler, 2.0, n, SEED + 2)
         gap = abs(plain.value - importance.value)

@@ -17,7 +17,8 @@ from skewtmix.bounds import renyi_bounds, shannon_bounds
 from skewtmix.cli import build_parser, main
 from skewtmix.config import ConfigError, load_config, parse_config
 from skewtmix.distributions import CHUNK_SIZE, mixture_logpdf, sample_mixture
-from skewtmix.mc import fat_proposal, is_renyi, mc_renyi, mc_shannon
+from skewtmix.linalg import NotPositiveDefiniteError
+from skewtmix.mc import _log_densities, fat_proposal, is_renyi, mc_renyi, mc_shannon
 from skewtmix.reports import ReportRow, rows_from_json, rows_to_csv, rows_to_json
 
 CASE1 = {
@@ -57,7 +58,7 @@ def parse_csv(text):
 
 
 def oracle_calls(mixture):
-    return lambda x: mixture_logpdf(mixture, x), lambda n, s: sample_mixture(mixture, n, s)
+    return lambda x: mixture_logpdf(mixture, x), lambda k, s, c: sample_mixture(mixture, k, s, chunk=c)
 
 
 def bounds_row(case, mixture, report, est, passed=None):
@@ -196,6 +197,26 @@ class TestEntropyCommand:
         assert (code, out) == (1, "")
         assert err == "error: cannot sample at dof 0.02: a Gamma(v/2, 2/v) mixing draw underflowed to 0\n"
 
+    @pytest.mark.parametrize("component, error, message", [
+        ({"mu": [0.0], "scale": [[1.0]], "delta": [1.0], "dof": 0.02}, ArithmeticError,
+         "cannot sample at dof 0.02: a Gamma(v/2, 2/v) mixing draw underflowed to 0"),
+        ({"mu": [0.0], "scale": [[1.0]], "delta": [1e8], "dof": 3.0}, NotPositiveDefiniteError,
+         "cannot sample: U's covariance S - delta_hat delta_hat' is not positive definite in floating point "
+         "at delta'S^-1 delta = 1e+16"),
+    ], ids=["gamma-underflow", "unfactorable-psi"])
+    def test_sampler_failure_in_a_pool_job_reaches_the_caller(self, tmp_path, capsys, component, error, message):
+        # each of the four chunks fails in its own pool job; the first failure is raised as it was, and nothing is kept
+        n = 4 * CHUNK_SIZE
+        _log_densities.cache_clear()
+        with pytest.raises(error) as raised:
+            mc_shannon(*oracle_calls(parse_config({"components": [component]}).mixture), n, 1, 2)
+        assert type(raised.value) is error and str(raised.value) == message
+        cfg = write_config(tmp_path, {"components": [component]})
+        code, out, err = run_cli(capsys, "entropy", cfg, "--method", "mc", "--samples", str(n), "--seed", "1",
+                                 "--threads", "2")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert _log_densities.cache_info().currsize == 0
+
     def test_exact_rejects_mixture(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MIX_M2)
         code, _, err = run_cli(capsys, "entropy", cfg, "--method", "exact")
@@ -297,14 +318,16 @@ class TestBoundsCommand:
         assert rows_from_json(out) == expected
 
     def test_orders_share_one_sample(self, tmp_path, capsys, monkeypatch):
-        # three orders draw once, and each row equals the row of its one-order run
+        # three orders draw each chunk once, and each row equals the row of its one-order run
         cfg = write_config(tmp_path, MIX_M2)
         draws = []
         real = cli.sample_mixture
-        monkeypatch.setattr(cli, "sample_mixture", lambda m, n, s: draws.append(n) or real(m, n, s))
+        monkeypatch.setattr(cli, "sample_mixture",
+                            lambda m, n, s, chunk: draws.append((n, chunk)) or real(m, n, s, chunk=chunk))
         argv = ("bounds", cfg, "--oracle", "--samples", "20000", "--seed", "5", "--out", "json")
         code, out, _ = run_cli(capsys, *argv, "--alpha", "shannon", "--alpha", "2", "--alpha", "5")
-        assert code == 0 and draws == [20000]
+        assert code == 0 and sum(n for n, _ in draws) == 20000
+        assert sorted(chunk for _, chunk in draws) == list(range(-(-20000 // CHUNK_SIZE)))
         singles = [run_cli(capsys, *argv, "--alpha", alpha)[1] for alpha in ("shannon", "2", "5")]
         assert [json.dumps(row) for row in json.loads(out)] == [json.dumps(json.loads(s)[0]) for s in singles]
 

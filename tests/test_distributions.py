@@ -267,6 +267,43 @@ class TestLogpdfs:
         assert got[1] == pytest.approx(-847.69, abs=0.01)
         assert skewt_logpdf(p, np.array([-10.0])) == got[1]
 
+    @pytest.mark.parametrize("mu, scale, direction, dof", [
+        ([0.5], [[1.5]], [1.0], 3.0),
+        ([0.3, -0.2], [[1.0, 0.3], [0.3, 2.0]], [1.0, -0.5], 2.5),
+    ], ids=["d1", "d2"])
+    @pytest.mark.parametrize("skewed", [True, False], ids=["skew", "symmetric"])
+    def test_log_density_where_the_quadratic_form_overflows(self, mu, scale, direction, dof, skewed):
+        # Q = h'h overflows beyond |h| of about 1e154; those rows are formed at a scale, with no RuntimeWarning,
+        # and the rows of a batch where Q is finite keep their values bit for bit
+        d = len(mu)
+        delta = [1.0, -2.0][:d] if skewed else [0.0] * d
+        p = make_component(mu, scale, delta, dof)
+        xs = np.outer([1e200, -1e200, 1e300], direction)
+        got = skewt_logpdf(p, xs)
+        with mpmath.workdps(50):
+            v, dd = mpmath.mpf(dof), mpmath.mpf(d)
+            s = mpmath.matrix(scale)
+            sinv = s ** -1
+            norm = (mpmath.loggamma((v + dd) / 2) - mpmath.loggamma(v / 2) - dd / 2 * mpmath.log(v * mpmath.pi)
+                    - mpmath.log(mpmath.det(s)) / 2)
+            for x, value, t_value in zip(xs, got, mt_logpdf(p, xs)):
+                z = mpmath.matrix([mpmath.mpf(float(a)) - mpmath.mpf(b) for a, b in zip(x, mu)])
+                q = (z.T * sinv * z)[0]
+                expected_t = norm - (v + dd) / 2 * mpmath.log1p(q / v)
+                arg = (mpmath.matrix(delta).T * sinv * z)[0] * mpmath.sqrt((v + dd) / (v + q))
+                w = (v + dd) / (v + dd + arg * arg)
+                tail = mpmath.betainc((v + dd) / 2, mpmath.mpf(0.5), 0, w, regularized=True) / 2
+                expected = mpmath.log(2) + expected_t + mpmath.log(tail if arg < 0 else 1 - tail)
+                assert value == pytest.approx(float(expected), rel=1e-13)
+                assert t_value == pytest.approx(float(expected_t), rel=1e-13)
+        ordinary = np.outer([0.5, -3.0, 1e100], direction)
+        for logpdf in (skewt_logpdf, mt_logpdf):
+            both = logpdf(p, np.vstack([ordinary, xs]))
+            assert both[:3].tobytes() == logpdf(p, ordinary).tobytes()
+            assert both[3:].tobytes() == logpdf(p, xs).tobytes()
+            assert logpdf(p, xs[2]) == both[5]
+            assert logpdf(p, np.empty((0, d))).shape == (0,)
+
     def test_fresh_dofs_from_threads_equal_serial(self):
         # components with dofs used nowhere else, so every t CDF table is built cold, and raced
         rng = np.random.default_rng(71)
@@ -382,6 +419,18 @@ class TestSamplers:
         long = sample_skewt(case1, CHUNK_SIZE + 500, 4)
         short = sample_skewt(case1, CHUNK_SIZE, 4)
         assert np.array_equal(long[:CHUNK_SIZE], short)
+
+    def test_one_chunk_equals_its_rows_of_a_whole_draw(self, case1):
+        # chunk 1 is full and chunk 2 holds the last 500 rows of the whole draw
+        n = 2 * CHUNK_SIZE + 500
+        for sampler, law in ((sample_skewt, case1), (sample_mixture, tables.builtin_mixture("d2_m3"))):
+            whole = sampler(law, n, 7)
+            assert np.array_equal(sampler(law, CHUNK_SIZE, 7, chunk=1), whole[CHUNK_SIZE:2 * CHUNK_SIZE])
+            assert np.array_equal(sampler(law, 500, 7, chunk=2), whole[2 * CHUNK_SIZE:])
+            with pytest.raises(ValueError, match="a chunk holds at most CHUNK_SIZE = 65536 rows, got n = 65537"):
+                sampler(law, CHUNK_SIZE + 1, 7, chunk=0)
+            with pytest.raises(ValueError, match="chunk must be an integer in"):
+                sampler(law, 10, 7, chunk=-1)
 
     def test_normal_limit(self):
         p = make_component([1.0], [[2.0]], [0.0], 1e6)

@@ -528,7 +528,7 @@ def solo(p):
 def low_ess_estimate(p):
     narrow = make_component(p.mu, 1e-4 * p.scale.entries, np.zeros(p.dim), 50.0)
     return is_renyi(lambda x: skewt_logpdf(p, x), lambda x: skewt_logpdf(narrow, x),
-                    lambda n, s: sample_skewt(narrow, n, s), 2.0, 50_000, 44)
+                    lambda k, s, c: sample_skewt(narrow, k, s, chunk=c), 2.0, 50_000, 44)
 
 
 WARNING_CALLS = {

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -34,15 +35,16 @@ def gauss_logpdf(x):
     return -0.5 * math.log(2.0 * math.pi) - 0.5 * x * x
 
 
-def gauss_sampler(n, seed):
-    # chunked Philox stream, mirroring the package sampler contract
-    out = np.empty((n, 1))
-    chunk = 1 << 16
-    for c, start in enumerate(range(0, n, chunk)):
-        stop = min(start + chunk, n)
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, c], dtype=np.uint64)))
-        out[start:stop, 0] = rng.standard_normal(stop - start)
-    return out
+def gauss_sampler(count, seed, chunk):
+    # chunk `chunk` of a chunked Philox stream, mirroring the package sampler contract
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
+    return rng.standard_normal(count)[:, None]
+
+
+def gauss_draws(n, seed):
+    """All n rows of gauss_sampler's sample, chunk after chunk."""
+    starts = range(0, n, CHUNK_SIZE)
+    return np.concatenate([gauss_sampler(min(CHUNK_SIZE, n - start), seed, c) for c, start in enumerate(starts)])
 
 
 def whole_array_renyi(logs, alpha):
@@ -64,14 +66,14 @@ class TestMcShannon:
     def test_multivariate_t(self):
         p = make_component([0.0], [[1.5]], [0.0], 3.0)
         est = mc_shannon(
-            lambda x: skewt_logpdf(p, x), lambda n, s: sample_skewt(p, n, s), 1_000_000, 8
+            lambda x: skewt_logpdf(p, x), lambda k, s, c: sample_skewt(p, k, s, chunk=c), 1_000_000, 8
         )
         assert abs(est.value - mt_shannon(p)) <= 3 * est.std_error
 
     def test_skew_t_reference(self, case1):
         est = mc_shannon(
             lambda x: skewt_logpdf(case1, x),
-            lambda n, s: sample_skewt(case1, n, s),
+            lambda k, s, c: sample_skewt(case1, k, s, chunk=c),
             1_000_000,
             9,
         )
@@ -95,7 +97,7 @@ class TestMcRenyi:
     def test_skew_t_reference(self, case1):
         est = mc_renyi(
             lambda x: skewt_logpdf(case1, x),
-            lambda n, s: sample_skewt(case1, n, s),
+            lambda k, s, c: sample_skewt(case1, k, s, chunk=c),
             2.0,
             1_000_000,
             11,
@@ -119,26 +121,46 @@ class TestMcRenyi:
 
 class TestDeterminism:
     def test_bit_identical(self, case1):
-        args = (lambda x: skewt_logpdf(case1, x), lambda n, s: sample_skewt(case1, n, s))
+        args = (lambda x: skewt_logpdf(case1, x), lambda k, s, c: sample_skewt(case1, k, s, chunk=c))
         a = mc_shannon(*args, 200_000, 33)
         b = mc_shannon(*args, 200_000, 33)
         assert a == b
 
     @pytest.mark.parametrize("estimator", ["mc_shannon", "mc_renyi", "is_renyi"])
     def test_thread_count_invariant(self, case1, estimator):
-        # 200k draws span four sampler chunks, so four threads split each log density
+        # 200k draws span four sampler chunks, so each of four threads draws and evaluates one
         target = lambda x: skewt_logpdf(case1, x)  # noqa: E731
-        sampler = lambda n, s: sample_skewt(case1, n, s)  # noqa: E731
+        sampler = lambda k, s, c: sample_skewt(case1, k, s, chunk=c)  # noqa: E731
         proposal = fat_proposal(case1)
         calls = {
             "mc_shannon": lambda threads: mc_shannon(target, sampler, 200_000, 34, threads),
             "mc_renyi": lambda threads: mc_renyi(target, sampler, 2.0, 200_000, 34, threads),
             "is_renyi": lambda threads: is_renyi(
                 target, lambda x: skewt_logpdf(proposal, x),
-                lambda n, s: sample_skewt(proposal, n, s), 2.0, 200_000, 34, threads,
+                lambda k, s, c: sample_skewt(proposal, k, s, chunk=c), 2.0, 200_000, 34, threads,
             ),
         }
         assert calls[estimator](1) == calls[estimator](4)
+
+    def test_fresh_components_on_more_workers_than_cores(self):
+        # new components and t CDF tables in every run, so eight workers race to derive the shapes and build the
+        # tables, with a short switch interval; the log densities still equal one worker's bit for bit
+        def log_densities(threads):
+            mix, proposal = tables.builtin_mixture("d2_m3"), fat_proposal(tables.builtin_mixture("d2_m3"))
+            _log_densities.cache_clear()
+            kept = _log_densities(lambda k, s, c: sample_mixture(mix, k, s, chunk=c), 6 * CHUNK_SIZE, 47, threads,
+                                  lambda x: mixture_logpdf(mix, x), lambda x: mixture_logpdf(proposal, x))
+            return [lp.tobytes() for lp in kept]
+
+        serial = log_densities(1)
+        specfn._cdf_table.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            raced = log_densities(8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert raced == serial
 
     @pytest.mark.parametrize("threads", [1, 4])
     def test_chunked_equals_whole_array_reduction(self, mix_d1_m2, threads):
@@ -149,13 +171,13 @@ class TestDeterminism:
         draws = sample_mixture(proposal, n, seed)
         lt, lq = mixture_logpdf(mix_d1_m2, draws), mixture_logpdf(proposal, draws)
         target = lambda x: mixture_logpdf(mix_d1_m2, x)  # noqa: E731
-        sampler = lambda k, s: sample_mixture(mix_d1_m2, k, s)  # noqa: E731
+        sampler = lambda k, s, c: sample_mixture(mix_d1_m2, k, s, chunk=c)  # noqa: E731
         shannon = mc_shannon(target, sampler, n, seed, threads)
         assert (shannon.value, shannon.std_error) == (float(-np.mean(lp)), float(np.std(lp) / math.sqrt(n)))
         plain = mc_renyi(target, sampler, alpha, n, seed, threads)
         assert (plain.value, plain.std_error) == whole_array_renyi((alpha - 1.0) * lp, alpha)[:2]
         importance = is_renyi(target, lambda x: mixture_logpdf(proposal, x),
-                              lambda k, s: sample_mixture(proposal, k, s), alpha, n, seed, threads)
+                              lambda k, s, c: sample_mixture(proposal, k, s, chunk=c), alpha, n, seed, threads)
         assert (importance.value, importance.std_error, importance.ess) == whole_array_renyi(alpha * lt - lq, alpha)
 
     def test_one_draw_and_each_row_once_through_the_t_cdf(self, monkeypatch):
@@ -166,16 +188,16 @@ class TestDeterminism:
         real = specfn.student_t_cdf
         monkeypatch.setattr(specfn, "student_t_cdf", lambda x, v: args.append(np.array(x)) or real(x, v))
 
-        def sampler(n, seed):
-            draws.append(n)
-            return sample_mixture(mix, n, seed)
+        def sampler(count, seed, chunk):
+            draws.append((count, chunk))
+            return sample_mixture(mix, count, seed, chunk=chunk)
 
         # every order after the first reuses the kept draws and log densities
         logpdf = lambda x: mixture_logpdf(mix, x)  # noqa: E731
         mc_shannon(logpdf, sampler, n, 37, threads=2)
         mc_renyi(logpdf, sampler, 2.0, n, 37, threads=2)
         mc_renyi(logpdf, sampler, 5.0, n, 37, threads=2)
-        assert draws == [n]
+        assert sorted(draws) == [(CHUNK_SIZE, 0), (CHUNK_SIZE, 1)]
         assert [a.size for a in args] == [BLOCK_SIZE] * (3 * n // BLOCK_SIZE)
         blocked = np.sort(np.concatenate(args))
         args.clear()
@@ -186,7 +208,7 @@ class TestDeterminism:
     def test_block_edges(self, n):
         # a partial last block, and a sample smaller than one block
         seed, alpha = 39, 2.0
-        draws = gauss_sampler(n, seed)
+        draws = gauss_draws(n, seed)
         lp = gauss_logpdf(draws)
         expected = [(float(-np.mean(lp)), float(np.std(lp) / math.sqrt(n))),
                     whole_array_renyi((alpha - 1.0) * lp, alpha)[:2]]
@@ -207,8 +229,8 @@ class TestDeterminism:
         # the workers whiten draws and the shape vector in numpy: no LAPACK solve is made anywhere
         def estimate():
             mix = tables.builtin_mixture("d3_m3")
-            return mc_shannon(lambda x: mixture_logpdf(mix, x), lambda k, s: sample_mixture(mix, k, s),
-                              2 * BLOCK_SIZE, 45, 2)
+            return mc_shannon(lambda x: mixture_logpdf(mix, x),
+                              lambda k, s, c: sample_mixture(mix, k, s, chunk=c), 2 * BLOCK_SIZE, 45, 2)
 
         class Refused:
             def __call__(self, *args, **kwargs):
@@ -223,19 +245,21 @@ class TestDeterminism:
         assert estimate() == expected
 
     def test_working_set_of_the_evaluation(self):
-        # 65,536-row jobs peak at 11.5 MB above the kept arrays here; 16,384-row blocks at 3.0 MB
+        # only the log densities are kept. Each of the two workers holds one chunk of draws at a time: sampling it
+        # peaks at 4.4 MB, and 16,384-row blocks evaluate it in 1.4 MB (a whole 65,536-row chunk would take 5.6 MB)
         mix = tables.builtin_mixture("d3_m3")
         n = 4 * CHUNK_SIZE
         _log_densities.cache_clear()
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            mc_shannon(lambda x: mixture_logpdf(mix, x), lambda k, s: sample_mixture(mix, k, s), n, 46, 2)
+            mc_shannon(lambda x: mixture_logpdf(mix, x), lambda k, s, c: sample_mixture(mix, k, s, chunk=c),
+                       n, 46, 2)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        kept = n * 8 + n * mix.dim * 8  # the log densities and the draws
-        assert peak - kept < 5 * 2**20
+        kept = n * 8  # the log densities
+        assert peak - kept < 10 * 2**20
 
     def test_se_scaling(self):
         small = mc_shannon(gauss_logpdf, gauss_sampler, 250_000, 35)
@@ -247,7 +271,7 @@ class TestDeterminism:
 class TestImportanceSampling:
     def test_identity_proposal_matches_plain(self, case1):
         logpdf = lambda x: skewt_logpdf(case1, x)  # noqa: E731
-        sampler = lambda n, s: sample_skewt(case1, n, s)  # noqa: E731
+        sampler = lambda k, s, c: sample_skewt(case1, k, s, chunk=c)  # noqa: E731
         plain = mc_renyi(logpdf, sampler, 2.0, 100_000, 40)
         importance = is_renyi(logpdf, logpdf, sampler, 2.0, 100_000, 40)
         assert importance.value == pytest.approx(plain.value, abs=1e-12)
@@ -260,7 +284,7 @@ class TestImportanceSampling:
         est = is_renyi(
             lambda x: skewt_logpdf(target, x),
             lambda x: skewt_logpdf(proposal, x),
-            lambda n, s: sample_skewt(proposal, n, s),
+            lambda k, s, c: sample_skewt(proposal, k, s, chunk=c),
             5.0,
             1_000_000,
             41,
@@ -272,7 +296,7 @@ class TestImportanceSampling:
         est = is_renyi(
             lambda x: skewt_logpdf(case2, x),
             lambda x: skewt_logpdf(proposal, x),
-            lambda n, s: sample_skewt(proposal, n, s),
+            lambda k, s, c: sample_skewt(proposal, k, s, chunk=c),
             2.0,
             1_000_000,
             42,
@@ -281,13 +305,13 @@ class TestImportanceSampling:
 
     def test_consistency_with_plain(self, mix_d1_m2):
         logpdf = lambda x: mixture_logpdf(mix_d1_m2, x)  # noqa: E731
-        sampler = lambda n, s: sample_mixture(mix_d1_m2, n, s)  # noqa: E731
+        sampler = lambda k, s, c: sample_mixture(mix_d1_m2, k, s, chunk=c)  # noqa: E731
         plain = mc_renyi(logpdf, sampler, 3.0, 400_000, 43)
         proposal = fat_proposal(mix_d1_m2)
         importance = is_renyi(
             logpdf,
             lambda x: mixture_logpdf(proposal, x),
-            lambda n, s: sample_mixture(proposal, n, s),
+            lambda k, s, c: sample_mixture(proposal, k, s, chunk=c),
             3.0,
             400_000,
             43,
@@ -302,7 +326,7 @@ class TestImportanceSampling:
             est = is_renyi(
                 lambda x: skewt_logpdf(target, x),
                 lambda x: skewt_logpdf(narrow, x),
-                lambda n, s: sample_skewt(narrow, n, s),
+                lambda k, s, c: sample_skewt(narrow, k, s, chunk=c),
                 2.0,
                 50_000,
                 44,
@@ -319,9 +343,9 @@ class TestImportanceSampling:
 class TestSharedEvaluation:
     @staticmethod
     def counting(draws):
-        def sampler(n, seed):
-            draws.append((n, seed))
-            return gauss_sampler(n, seed)
+        def sampler(count, seed, chunk):
+            draws.append((count, seed))
+            return gauss_sampler(count, seed, chunk)
 
         return sampler
 
@@ -337,6 +361,11 @@ class TestSharedEvaluation:
         mc_shannon(lambda x: gauss_logpdf(x), sampler, 1001, 2, threads=2)
         assert draws == [(1000, 1), (1000, 2), (1001, 2), (1001, 2), (1001, 2)]
 
+    def test_sampler_must_return_its_chunk(self):
+        # a chunk of another length would leave rows unwritten or write into the next chunk's rows
+        with pytest.raises(ValueError, match="sampler returned 999 rows for chunk 0, expected 1000"):
+            mc_shannon(gauss_logpdf, lambda k, s, c: gauss_sampler(k - 1, s, c), 1000, 1)
+
     def test_kept_arrays_are_read_only(self):
         lt, lq = _log_densities(self.counting([]), 1000, 3, 1, gauss_logpdf, gauss_logpdf)
         for lp in (lt, lq):
@@ -350,7 +379,8 @@ class TestSharedEvaluation:
 
         def callables():
             return (lambda x: mixture_logpdf(mix_d1_m2, x), lambda x: mixture_logpdf(proposal, x),
-                    lambda k, s: sample_mixture(mix_d1_m2, k, s), lambda k, s: sample_mixture(proposal, k, s))
+                    lambda k, s, c: sample_mixture(mix_d1_m2, k, s, chunk=c),
+                    lambda k, s, c: sample_mixture(proposal, k, s, chunk=c))
 
         def estimates(fresh):
             shared = callables()
