@@ -17,12 +17,17 @@ frozen after validating density normalization, sampler agreement, and the
 bundled reference entropies; the alternatives are retained in the test
 suite as rejected readings.
 
-G1 comes from ``specfn.student_t_cdf``, which for a total dof v + d in
-[1, 64] reads a per-dof Taylor table and otherwise calls ``stdtr``; each
-row's value depends on that row alone. Where G1 underflows to 0, its log
-comes from ``specfn.student_t_log_tail`` instead, and where Q overflows
-(|h| beyond about 1e154) Q and the skew argument are formed at a scale on
-those rows, so the log density stays finite at every finite x.
+``mt_logpdf`` and ``skewt_logpdf`` share one kernel for every batch shape.
+It whitens the points a column at a time and takes every later step in
+place on arrays of one value per point, adding the constants in the order
+of the formula above, so a point's value depends on that point alone and
+never on the batch it is in. G1 comes from ``specfn.student_t_cdf``,
+which for a total dof v + d in [1, 64] reads a per-dof Taylor table and
+otherwise calls ``stdtr``. Where G1 underflows to 0, its log comes from
+``specfn.student_t_log_tail`` instead, and where Q or Q/v overflows (|h|
+beyond about 1e154, or 1e154 sqrt(v) at v < 1) Q and the skew argument
+are formed at a scale on those rows, so the log density stays finite at
+every finite x.
 
 The matching stochastic representation, used by the sampler and by the
 moment formulas, is
@@ -50,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specfn
-from .linalg import NotPositiveDefiniteError, SpdMatrix, _whiten, log_det
+from .linalg import NotPositiveDefiniteError, SpdMatrix, _substitute, _whiten, log_det
 
 __all__ = [
     "SkewTParams",
@@ -230,65 +235,86 @@ def _mt_log_norm(v: float, d: int, logdet: float) -> float:
     return math.lgamma((v + d) / 2.0) - (math.lgamma(v / 2.0) + d / 2.0 * math.log(v * math.pi)) - 0.5 * logdet
 
 
-def _radial_terms(p: SkewTParams, x: np.ndarray, lam=None):
-    """log1p(Q/v) at x and, given the whitened shape lam, the skew argument h'lam sqrt((v + d) / (v + Q)).
+def _whitened_sums(p: SkewTParams, columns: list, lam):
+    """Q = h'h and, given the whitened shape lam, h'lam, for h = L^{-1} z, L L' = S.
 
-    h = L^{-1}(x - mu) with L L' = S, and Q = h'h. On a row whose Q is not
-    finite (|h| beyond about 1e154), both are formed again from x and mu
+    ``columns`` holds z one array per column. The substitution and then the
+    squares run in place on them, and each sum adds its terms in column
+    order into the first, so Q is left in the first column's array.
+    """
+    half = _substitute(p.scale.cholesky_factor, columns)
+    hl = None
+    if lam is not None:
+        hl, term = np.multiply(half[0], lam[0]), np.empty_like(half[0])
+        for h, l in zip(half[1:], lam[1:]):
+            hl += np.multiply(h, l, out=term)
+    q = half[0]
+    q *= q
+    for h in half[1:]:
+        h *= h
+        q += h
+    return q, hl
+
+
+def _log_density(p: SkewTParams, x, skewed: bool) -> float | np.ndarray:
+    """The t log density at every point of x, with the skew term when ``skewed``: one in-place kernel.
+
+    The points are whitened a column at a time, h = L^{-1}(x - mu), and the
+    columns are dropped once Q = h'h and h'lam are summed. log1p(Q/v), the
+    skew argument h'lam sqrt((v + d) / (v + Q)) and ln G1 are then taken in
+    place, and the constants are added in the order of the formula. On a row
+    whose Q/v is not finite (|h| beyond about 1e154, or 1e154 sqrt(v) at
+    v < 1), log1p(Q/v) and the argument are formed again from x and mu
     divided by s, the row's largest |x| or |mu| entry: with h and Q the
     whitened point and its form at that scale, log1p(Q s^2 / v) is
     logaddexp(ln Q + 2 ln s - ln v, 0) and the argument is
-    h'lam sqrt((v + d) / (Q + v / s^2)). Every other row takes the plain
-    formulas.
+    h'lam sqrt((v + d) / (Q + v / s^2)).
     """
+    x = _check_x(p, x)
     v, d = p.dof, p.dim
+    rows = x.reshape(-1, d)
+    lam = derive_shape(p).lam if skewed else None
     with np.errstate(over="ignore", invalid="ignore"):
-        half = _whiten(p.scale, x - p.mu)
-        q = sum(h * h for h in half)
-        log_q = np.log1p(q / v)
-        arg = None if lam is None else sum(h * l for h, l in zip(half, lam)) * np.sqrt((v + d) / (v + q))
-    if np.isfinite(np.max(q, initial=0.0)):  # max propagates NaN; initial admits an empty batch
-        return log_q, arg
-    big = ~np.isfinite(q)
-    rows = x[big]
-    s = np.maximum(np.max(np.abs(rows), axis=-1), np.max(np.abs(p.mu)))[:, None]
-    half = _whiten(p.scale, rows / s - p.mu / s)
-    q, s = sum(h * h for h in half), s[:, 0]
-    log_q = np.array(log_q)
-    log_q[big] = np.logaddexp(np.log(q) + 2.0 * np.log(s) - math.log(v), 0.0)
-    if lam is not None:
-        arg = np.array(arg)
-        arg[big] = sum(h * l for h, l in zip(half, lam)) * np.sqrt((v + d) / (q + v / s / s))
-    return log_q, arg
-
-
-def _mt_log_density(p: SkewTParams, log_q):
-    v, d = p.dof, p.dim
-    return _mt_log_norm(v, d, log_det(p.scale)) - (v + d) / 2.0 * log_q
+        q, arg = _whitened_sums(p, [np.subtract(rows[:, j], p.mu[j]) for j in range(d)], lam)
+        if skewed:
+            root = np.add(q, v)
+            np.divide(v + d, root, out=root)
+            arg *= np.sqrt(root, out=root)
+            del root  # freed before the t CDF, whose own arrays make the block's peak
+        q /= v
+        big = None if np.isfinite(np.max(q, initial=0.0)) else ~np.isfinite(q)  # max propagates NaN
+        out = np.log1p(q, out=q)
+    if big is not None:
+        scaled = rows[big]
+        s = np.maximum(np.max(np.abs(scaled), axis=-1), np.max(np.abs(p.mu)))[:, None]
+        q_s, hl_s = _whitened_sums(p, list((scaled / s - p.mu / s).T), lam)
+        s = s[:, 0]
+        out[big] = np.logaddexp(np.log(q_s) + 2.0 * np.log(s) - math.log(v), 0.0)
+        if skewed:
+            arg[big] = hl_s * np.sqrt((v + d) / (q_s + v / s / s))
+    out *= (v + d) / 2.0
+    np.subtract(_mt_log_norm(v, d, log_det(p.scale)), out, out=out)
+    if skewed:
+        log_g = specfn.student_t_cdf(arg, v + d)
+        with np.errstate(divide="ignore"):
+            np.log(log_g, out=log_g)
+        if log_g.min(initial=0.0) == -math.inf:  # G1 underflowed: take its log in log space on those rows
+            under = log_g == -math.inf
+            log_g[under] = specfn.student_t_log_tail(arg[under], v + d)
+        out += math.log(2.0)
+        out += log_g
+    out = out.reshape(x.shape[:-1])
+    return float(out) if out.ndim == 0 else out
 
 
 def mt_logpdf(p: SkewTParams, x) -> float | np.ndarray:
     """Multivariate t log density (the shape vector is ignored)."""
-    out = _mt_log_density(p, _radial_terms(p, _check_x(p, x))[0])
-    return float(out) if np.ndim(out) == 0 else out
+    return _log_density(p, x, skewed=False)
 
 
 def skewt_logpdf(p: SkewTParams, x) -> float | np.ndarray:
     """Skew-t log density; reduces exactly to mt_logpdf when delta = 0."""
-    skewed = bool(np.any(p.delta))
-    log_q, arg = _radial_terms(p, _check_x(p, x), derive_shape(p).lam if skewed else None)
-    out = _mt_log_density(p, log_q)
-    if skewed:
-        v, d = p.dof, p.dim
-        g = specfn.student_t_cdf(arg, v + d)
-        with np.errstate(divide="ignore"):
-            log_g = np.log(g)
-        under = g == 0.0
-        if np.any(under):  # G1 underflowed: take its log in log space on those rows
-            log_g = np.array(log_g)
-            log_g[under] = specfn.student_t_log_tail(np.asarray(arg)[under], v + d)
-        out = math.log(2.0) + out + log_g
-    return float(out) if np.ndim(out) == 0 else out
+    return _log_density(p, x, skewed=bool(np.any(p.delta)))
 
 
 def mixture_logpdf(m: MixtureParams, x) -> float | np.ndarray:
@@ -296,9 +322,9 @@ def mixture_logpdf(m: MixtureParams, x) -> float | np.ndarray:
 
     The weighted component log densities are stacked component-major, one
     contiguous row per component of positive weight, and reduced over that
-    leading axis in place.
+    leading axis in place. The first component's call checks x.
     """
-    x = _check_x(m.components[0], x)
+    x = np.asarray(x, dtype=float)
     terms = [(math.log(w), comp) for w, comp in zip(m.weights, m.components) if w != 0.0]
     stacked = np.empty((len(terms),) + x.shape[:-1])
     for i, (logw, comp) in enumerate(terms):
@@ -405,16 +431,20 @@ def _psi_factor(p: SkewTParams) -> np.ndarray:
 
 
 def _sample_component_chunk(p: SkewTParams, lower: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count rows mu + (delta_hat |U0| + U) / sqrt(W), built in place in one (count, d) array."""
+    """count rows mu + (delta_hat |U0| + U) / sqrt(W), built in place on U's array one column at a time."""
     w = rng.gamma(p.dof / 2.0, 2.0 / p.dof, size=count)
     if not w.all():
         raise ArithmeticError(f"cannot sample at dof {p.dof:g}: a Gamma(v/2, 2/v) mixing draw underflowed to 0")
     u0 = rng.standard_normal(count)
-    u = rng.standard_normal((count, p.dim)) @ lower.T
-    rows = np.multiply(np.abs(u0, out=u0)[:, None], derive_shape(p).delta_hat)
-    rows += u
-    rows /= np.sqrt(w, out=w)[:, None]
-    rows += p.mu
+    rows = rng.standard_normal((count, p.dim)) @ lower.T
+    np.abs(u0, out=u0)
+    np.sqrt(w, out=w)
+    term = np.empty(count)
+    for j, (delta_hat, mu) in enumerate(zip(derive_shape(p).delta_hat.tolist(), p.mu.tolist())):
+        column = rows[:, j]
+        column += np.multiply(u0, delta_hat, out=term)
+        column /= w
+        column += mu
     return rows
 
 
@@ -446,14 +476,15 @@ def _component_labels(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Component index of each uniform draw in u: the weight interval it falls in.
 
     The index is the number of cumulative weights at or below u, counted
-    with one comparison per component. The weights may sum to as little as
+    with one comparison per component into the narrowest unsigned type
+    that holds the component count. The weights may sum to as little as
     1 - 1e-12, so a draw at or above their sum goes to the last component
     of positive weight, never to a trailing component of weight 0.
     """
-    labels = np.zeros(u.shape, dtype=np.intp)
+    labels = np.zeros(u.shape, dtype=np.min_scalar_type(len(weights)))
     for edge in np.cumsum(weights):
         labels += u >= edge
-    return np.minimum(labels, np.flatnonzero(weights)[-1], out=labels)
+    return np.minimum(labels, int(np.flatnonzero(weights)[-1]), out=labels)
 
 
 def sample_mixture(m: MixtureParams, n: int, seed: int, chunk: int | None = None) -> np.ndarray:

@@ -124,22 +124,31 @@ def solve(s, b) -> np.ndarray:
     return solve_upper_batch(l, solve_lower_batch(l, _rhs(spd, b)))
 
 
+def _substitute(lower: np.ndarray, columns: list) -> list:
+    """Solve L h = z on the list of z's columns, replacing each by its column of h; returns the list.
+
+    Array columns are updated in place, scalar ones replaced. Every row takes the same elementwise
+    steps, so its result does not depend on the batch around it.
+    """
+    for j, row in enumerate(lower.tolist()):
+        h = columns[j]
+        for k in range(j):
+            h -= row[k] * columns[k]
+        h /= row[j]
+        columns[j] = h
+    return columns
+
+
 def _whiten(s, z) -> list:
     """The columns of h = L^{-1} z, L L' = S, by forward substitution in numpy; z may be batched (..., d).
 
-    Every row takes the same elementwise steps, so its result does not depend on the batch around it.
     Callers add products of columns in column order: for d < 8 the same sum, bit for bit, as a
     last-axis np.sum, without reducing over a short axis.
     """
     spd = _as_spd(s)
     z = _rhs(spd, z)
-    half = []
-    for j, row in enumerate(spd.cholesky_factor.tolist()):
-        h = z[..., j]
-        for k in range(j):
-            h = h - row[k] * half[k]
-        half.append(h / row[j])
-    return half
+    # z[..., j] * 1.0 is a new array, or a scalar for one vector, so the substitution never writes into z
+    return _substitute(spd.cholesky_factor, [z[..., j] * 1.0 for j in range(spd.dim)])
 
 
 def quad_form(s, z) -> float | np.ndarray:

@@ -270,15 +270,17 @@ class TestLogpdfs:
     @pytest.mark.parametrize("mu, scale, direction, dof", [
         ([0.5], [[1.5]], [1.0], 3.0),
         ([0.3, -0.2], [[1.0, 0.3], [0.3, 2.0]], [1.0, -0.5], 2.5),
-    ], ids=["d1", "d2"])
+        ([0.0], [[1.0]], [1.0], 0.3),
+    ], ids=["d1", "d2", "d1_dof_below_1"])
     @pytest.mark.parametrize("skewed", [True, False], ids=["skew", "symmetric"])
     def test_log_density_where_the_quadratic_form_overflows(self, mu, scale, direction, dof, skewed):
-        # Q = h'h overflows beyond |h| of about 1e154; those rows are formed at a scale, with no RuntimeWarning,
-        # and the rows of a batch where Q is finite keep their values bit for bit
+        # Q = h'h overflows beyond |h| of about 1e154, and at dof 0.3 Q/v overflows from |h| of about 7.3e153; those
+        # rows are formed at a scale, with no RuntimeWarning, and the rows of a batch where Q/v is finite keep their
+        # values bit for bit
         d = len(mu)
         delta = [1.0, -2.0][:d] if skewed else [0.0] * d
         p = make_component(mu, scale, delta, dof)
-        xs = np.outer([1e200, -1e200, 1e300], direction)
+        xs = np.outer([1e200, -1e200, 1e300, 1.2e154], direction)
         got = skewt_logpdf(p, xs)
         with mpmath.workdps(50):
             v, dd = mpmath.mpf(dof), mpmath.mpf(d)
@@ -303,6 +305,37 @@ class TestLogpdfs:
             assert both[3:].tobytes() == logpdf(p, xs).tobytes()
             assert logpdf(p, xs[2]) == both[5]
             assert logpdf(p, np.empty((0, d))).shape == (0,)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_one_block_equals_one_row_calls(self, d, monkeypatch):
+        # the log densities work in place on whole blocks; every row of a (n, d) or (k, n, d) block is, bit for bit,
+        # what a one-row call gives, on ordinary rows, on rows where Q overflows and on rows where G1 underflows
+        rng = np.random.default_rng(90 + d)
+        a = rng.standard_normal((d, d))
+        scale = a @ a.T + 0.5 * np.eye(d)
+        direction = np.eye(d)[0]
+        skewed = make_component(rng.standard_normal(d), scale, rng.uniform(-3.0, 3.0, d), 3.0)
+        symmetric = make_component(rng.standard_normal(d), scale, np.zeros(d), 2.5)
+        under = make_component(np.zeros(d), np.eye(d), 4.0 * direction, 1e5)  # G1 = 0 at x = -10 e1
+        comps = (skewed, symmetric, under)
+        xs = np.vstack([
+            sample_skewt(skewed, 40, 5),
+            np.outer([1e200, -1e200, 1e300, -1e150], direction + 0.5),
+            np.outer([-10.0, -12.0], direction),
+        ])
+        tails = []
+        real = specfn.student_t_log_tail
+        monkeypatch.setattr(specfn, "student_t_log_tail", lambda x, v: tails.append(np.size(x)) or real(x, v))
+        mixtures = [make_mixture(comps, [0.5, 0.3, 0.2]), make_mixture(comps, [0.6, 0.0, 0.4])]
+        laws = [(logpdf, p) for p in comps for logpdf in (mt_logpdf, skewt_logpdf)]
+        for logpdf, law in laws + [(mixture_logpdf, m) for m in mixtures]:
+            block = logpdf(law, xs)
+            assert np.isfinite(block).all()
+            rows = [logpdf(law, x) for x in xs]
+            assert all(type(r) is float for r in rows)
+            assert block.tobytes() == np.array(rows).tobytes()
+            assert logpdf(law, xs.reshape(2, -1, d)).tobytes() == block.tobytes()
+        assert tails  # G1 underflowed on some rows
 
     def test_fresh_dofs_from_threads_equal_serial(self):
         # components with dofs used nowhere else, so every t CDF table is built cold, and raced

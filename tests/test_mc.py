@@ -246,7 +246,7 @@ class TestDeterminism:
 
     def test_working_set_of_the_evaluation(self):
         # only the log densities are kept. Each of the two workers holds one chunk of draws at a time: sampling it
-        # peaks at 4.4 MB, and 16,384-row blocks evaluate it in 1.4 MB (a whole 65,536-row chunk would take 5.6 MB)
+        # peaks at 3.8 MiB, and 32,768-row blocks evaluate it in 2.5 MiB (a whole 65,536-row chunk would take 5.1 MiB)
         mix = tables.builtin_mixture("d3_m3")
         n = 4 * CHUNK_SIZE
         _log_densities.cache_clear()
