@@ -1,0 +1,145 @@
+"""Time skewtmix layer by layer and write the figures to BENCH_<pr>.json.
+
+    python bench/layers.py --pr 26
+    python bench/layers.py --pr 26 --out-dir /tmp/bench --points 1000 --components 6 --repeats 3
+
+Run it from anywhere; it imports skewtmix from ``src/`` of its own checkout.
+BLAS and OpenMP threads are pinned to 1 before numpy loads, and the file
+records nproc and the Python, numpy, scipy and skewtmix versions.
+
+Layers:
+
+* ``student_t_cdf`` on ``--points`` points (default 1M), at dof 5.3,
+  inside the per-dof table's window, and at dof 100, which calls
+  ``stdtr``; one array call per repeat;
+* cold ``skewt_shannon`` and ``skewt_renyi`` at orders 2 and 30: one call
+  on each of ``--components`` fresh components (d = 1, 2, 3 in turn,
+  dof 3-12), built anew for every repeat so that no kept correction is
+  reused; the time is per call.
+
+Each entry records the median and interquartile range of its repeats in
+seconds, the repeat count, its ``size`` (points or components) and a
+checksum: the sum of the layer's outputs rounded to CHECKSUM_DIGITS
+significant digits, so that a last-bit move leaves it alone and a changed
+value shows.
+"""
+
+from __future__ import annotations
+
+import os
+
+PINNED_ENV = {
+    "OMP_NUM_THREADS": "1",
+    "OPENBLAS_NUM_THREADS": "1",
+    "MKL_NUM_THREADS": "1",
+    "NUMEXPR_NUM_THREADS": "1",
+}
+os.environ.update(PINNED_ENV)
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import skewtmix  # noqa: E402
+from skewtmix import entropy, specfn  # noqa: E402
+from skewtmix.distributions import SkewTParams  # noqa: E402
+
+CHECKSUM_DIGITS = 10
+T_CDF_DOFS = (5.3, 100.0)
+RENYI_ORDERS = (2.0, 30.0)
+
+
+def entry(times: list, outputs, size: int) -> dict:
+    q1, median, q3 = np.percentile(times, [25, 50, 75])
+    return {
+        "median_s": float(median),
+        "iqr_s": float(q3 - q1),
+        "repeats": len(times),
+        "size": size,
+        "checksum": float(f"{float(np.sum(outputs)):.{CHECKSUM_DIGITS}g}"),
+    }
+
+
+def t_cdf_layer(v: float, points: int, repeats: int) -> dict:
+    x = np.random.default_rng(1).standard_normal(points) * 4.0
+    specfn.student_t_cdf(x[:10], v)  # builds the dof's table outside the timings
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        out = specfn.student_t_cdf(x, v)
+        times.append(time.perf_counter() - start)
+    return entry(times, out, points)
+
+
+def components(count: int) -> list:
+    """(mu, scale, delta, dof) of `count` seeded components, d = 1, 2, 3 in turn."""
+    rng = np.random.default_rng(2)
+    out = []
+    for j in range(count):
+        d = j % 3 + 1
+        a = rng.standard_normal((d, d))
+        out.append((rng.standard_normal(d), a @ a.T + d * np.eye(d), 2.0 * rng.standard_normal(d),
+                    float(rng.uniform(3.0, 12.0))))
+    return out
+
+
+def cold_entropy_layer(fn, specs: list, repeats: int) -> dict:
+    times = []
+    for _ in range(repeats + 1):  # the first pass, untimed, loads the node tables
+        fresh = [SkewTParams(mu=mu, scale=s, delta=de, dof=v) for mu, s, de, v in specs]
+        start = time.perf_counter()
+        out = [fn(p) for p in fresh]
+        times.append((time.perf_counter() - start) / len(fresh))
+    return entry(times[1:], out, len(specs))
+
+
+def run(points: int, count: int, repeats: int) -> dict:
+    layers = {f"student_t_cdf v={v:g}": t_cdf_layer(v, points, repeats) for v in T_CDF_DOFS}
+    specs = components(count)
+    layers["skewt_shannon cold"] = cold_entropy_layer(entropy.skewt_shannon, specs, repeats)
+    for alpha in RENYI_ORDERS:
+        layers[f"skewt_renyi cold alpha={alpha:g}"] = cold_entropy_layer(
+            lambda p: entropy.skewt_renyi(p, alpha), specs, repeats)
+    return layers
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--pr", type=int, required=True, help="number in the output file name BENCH_<pr>.json")
+    parser.add_argument("--out-dir", type=Path, default=Path("."), help="directory to write into (default: .)")
+    parser.add_argument("--points", type=int, default=1_000_000, help="points of each student_t_cdf call")
+    parser.add_argument("--components", type=int, default=1500, help="fresh components per cold entropy layer")
+    parser.add_argument("--repeats", type=int, default=9, help="timed repeats of each layer")
+    args = parser.parse_args(argv)
+    if min(args.points, args.components, args.repeats) < 1:
+        parser.error("--points, --components and --repeats must be at least 1")
+    doc = {
+        "pr": args.pr,
+        "env": {
+            "nproc": os.cpu_count(),
+            "pinned_env": {k: os.environ.get(k) for k in PINNED_ENV},
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "skewtmix": skewtmix.__version__,
+        },
+        "checksum_digits": CHECKSUM_DIGITS,
+        "layers": run(args.points, args.components, args.repeats),
+    }
+    path = args.out_dir / f"BENCH_{args.pr}.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success; 1 on validation or domain errors, among them
 ``--threads`` below 1, ``--samples`` below 2 and ``--seed`` outside
-[0, 2**64) (the config file's rules) and a ``--rows`` filter that is
-malformed, names a column the table's rows lack or names one twice;
+[0, 2**64) (the config file's rules), a ``--rows`` filter that is
+malformed, names a column the table's rows lack or names one twice, and
+a Monte Carlo Renyi order at which the estimate has infinite variance;
 2 when a reproduction run's pass rate over scored cells, at the fixed
 ``tables.DEFAULT_TOLERANCE``, drops below the threshold, or on an
 argparse usage error such as a ``--threads`` that is neither an integer
@@ -91,6 +92,7 @@ def _oracles(mixture, alphas, samples, seed, threads, method="mc"):
     Every order passes the same closures to the estimator, so all of them
     share one sample and one log-density evaluation (see ``mc``). Method "is"
     samples ``fat_proposal(mixture)`` and applies to Renyi orders only.
+    Orders whose estimate has infinite variance raise ``ValueError``.
     """
     logpdf = lambda x: mixture_logpdf(mixture, x)  # noqa: E731
     if method == "is":
@@ -100,6 +102,8 @@ def _oracles(mixture, alphas, samples, seed, threads, method="mc"):
     else:
         sampler = lambda count, s, c: sample_mixture(mixture, count, s, chunk=c)  # noqa: E731
     for alpha in alphas:
+        if alpha != "shannon":
+            _refuse_infinite_variance(mixture, float(alpha), method)
         if method == "is":
             if alpha == "shannon":
                 raise ValueError("importance sampling applies to Renyi orders; use --method mc for shannon")
@@ -108,6 +112,26 @@ def _oracles(mixture, alphas, samples, seed, threads, method="mc"):
             yield mc_shannon(logpdf, sampler, samples, seed, threads)
         else:
             yield mc_renyi(logpdf, sampler, float(alpha), samples, seed, threads)
+
+
+def _refuse_infinite_variance(mixture, alpha, method):
+    """Raise ValueError at an order whose Monte Carlo estimate has infinite variance.
+
+    The mixture's density falls like |x|^-(v+d) for its smallest dof v, and
+    the sampled law's like |x|^-(v_q+d): v_q = v for plain sampling, and
+    max(1, v/2) for ``fat_proposal``. The alpha-power estimate then has
+    finite variance, and a meaningful standard error, only for
+    2 alpha (v + d) > v_q + 2d.
+    """
+    v, d = min(c.dof for c in mixture.components), mixture.dim
+    v_q = max(1.0, v / 2.0) if method == "is" else v
+    threshold = (v_q + 2 * d) / (2 * (v + d))
+    if alpha <= threshold:
+        name = "importance sampling" if method == "is" else "plain Monte Carlo"
+        raise ValueError(
+            f"{name} cannot estimate the Renyi entropy of order {alpha:g}: with smallest dof {v:g} "
+            f"its variance is infinite at orders <= {threshold:.6g}"
+        )
 
 
 def _entropy(comp, alpha):

@@ -34,7 +34,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import psi, xlogy
+from scipy.special import psi, stdtr, xlogy
 
 from . import specfn
 from .distributions import SkewTParams, _check_order, _mt_log_norm, _warn_at_caller, derive_shape
@@ -135,12 +135,6 @@ def _sinh_sinh(fn, x0: float, scale: float, *, log: bool = False) -> _Quadrature
         coarse, fine = fine, 0.5 * fine + h * float(np.sum(f))
 
 
-def _digamma_term(v: float, d: int, halved: bool) -> float:
-    if halved:
-        return (v + d) / 2.0 * float(psi((v + d) / 2.0) - psi(v / 2.0))
-    return (v + d) / 2.0 * float(psi(v + d) - psi(v))
-
-
 def mt_shannon(p: SkewTParams, *, digamma: str = "halved") -> float:
     """Shannon entropy of the multivariate t (shape ignored), in nats.
 
@@ -151,7 +145,8 @@ def mt_shannon(p: SkewTParams, *, digamma: str = "halved") -> float:
     if digamma not in ("halved", "printed"):
         raise ValueError("digamma must be 'halved' or 'printed'")
     v, d = p.dof, p.dim
-    return _digamma_term(v, d, digamma == "halved") - _mt_log_norm(v, d, log_det(p.scale))
+    psis = psi((v + d) / 2.0) - psi(v / 2.0) if digamma == "halved" else psi(v + d) - psi(v)
+    return (v + d) / 2.0 * float(psis) - _mt_log_norm(v, d, log_det(p.scale))
 
 
 def power_integral_constant(p: SkewTParams, alpha: float) -> float:
@@ -219,14 +214,24 @@ def skew_correction(p: SkewTParams, *, variant: str = "frozen") -> float:
     w = v + d - 1.0
     s = math.sqrt((v + d) * dd)
 
+    # The nodes come in exact +- pairs and each t CDF argument is odd in y, so one stdtr
+    # call per pair, on the y <= 0 half, gives the rest: stdtr(v, a) = 1 - stdtr(v, -a).
     def fn(y):
-        g2 = 2.0 * specfn.student_t_cdf_stdtr(s * y / np.hypot(math.sqrt(w), y), v + d)
+        if not np.array_equal(y, -y[::-1]):
+            raise RuntimeError("the Shannon rule's nodes do not come in +- pairs")
+        pairs, y = y.size // 2, y[: (y.size + 1) // 2]
+
+        def cdf(dof, a):
+            half = stdtr(dof, a)
+            return np.concatenate((half, 1.0 - half[:pairs][::-1]))
+
+        g2 = 2.0 * cdf(v + d, s * y / np.hypot(math.sqrt(w), y))
         if variant == "frozen":
             return xlogy(g2, g2)
-        wt = 2.0 * specfn.student_t_cdf_stdtr(math.sqrt(dd) * y * np.sqrt((v + 1.0) / (v + y * y)), v + 1.0)
+        wt = 2.0 * cdf(v + 1.0, math.sqrt(dd) * y * np.sqrt((v + 1.0) / (v + y * y)))
         return xlogy(wt, g2)
 
-    rule = _sinh_sinh(lambda y: np.exp(specfn.student_t_logpdf(y, w)) * fn(y), 0.0, 1.0)
+    rule = _sinh_sinh(lambda y: np.exp(specfn._t_logpdf(y, w)) * fn(y), 0.0, 1.0)
     return _keep_or_warn(p, key, rule, "Shannon skewness correction")
 
 
@@ -260,9 +265,9 @@ def skewt_renyi(p: SkewTParams, alpha: float, *, variant: str = "frozen") -> flo
     s = math.sqrt((v + d) * dd)
 
     def log_integrand(x):
-        g = specfn.student_t_cdf_stdtr(s * x / np.hypot(math.sqrt(den), x), v + d)
+        g = stdtr(v + d, s * x / np.hypot(math.sqrt(den), x))
         with np.errstate(divide="ignore"):
-            return specfn.student_t_logpdf(x, dof_x) + alpha * (_LN2 + np.log(g))
+            return specfn._t_logpdf(x, dof_x) + alpha * (_LN2 + np.log(g))
 
     # Centre and scale the rule at the peak, which narrows as alpha grows. The
     # integrand is larger at x > 0 than at -x, and as 2 G1 <= 2 it beats its value

@@ -162,9 +162,11 @@ def _renyi_estimate(logs: np.ndarray, alpha: float, seed: int, method: str) -> E
 def mc_renyi(logpdf, sampler, alpha: float, n: int, seed: int, threads: int = 1) -> Estimate:
     """Plain Monte Carlo Renyi entropy of order alpha != 1.
 
-    Averages the (alpha-1) power of the density over its own draws.
-    Heavy tails inflate the variance for extreme orders; the reported
-    standard error stays honest either way.
+    Averages the (alpha-1) power of the density over its own draws. Its
+    variance, and so the reported standard error, is finite only if the
+    density's (2 alpha - 1) power is integrable: for tails like |x|^-(v+d)
+    in d dimensions, only at alpha > (v + 2d) / (2(v + d)). Below that the
+    standard error means nothing; the command line refuses such orders.
     """
     _check_order(alpha)
     (lp,) = _log_densities(sampler, n, seed, threads, logpdf)

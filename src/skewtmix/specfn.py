@@ -4,9 +4,11 @@ All functions accept floats or numpy arrays and are evaluated elementwise
 by ``scipy.special``; a scalar or 0-d input gives a ``float``. Every call
 goes through one check: each argument must be finite, the positive-domain
 arguments must be > 0, and the ``reg_inc_beta`` point must lie in [0, 1].
-The closed-form entropy constants, whose arguments are valid by
-construction, call ``math.lgamma`` and ``scipy.special.psi`` directly;
-the quadrature integrands pass arrays through here.
+Callers whose arguments are valid by construction skip it: the closed-form
+entropy constants call ``math.lgamma`` and ``scipy.special.psi``, and the
+entropy quadrature calls ``scipy.special.stdtr`` and the unchecked
+``_t_logpdf``, with one ``stdtr`` call per +- pair of its mirrored
+Shannon nodes.
 
 ``student_t_cdf`` of one dof v in [1, 64] (a scalar, 0-d or one-element
 ``v``) reads T_v from a table of 14 Taylor coefficients about each knot
@@ -16,13 +18,12 @@ exact clip/rint/take steps and IEEE + and *, so a row's value depends on
 (t, v) alone, never on the batch it is in; its relative error stays
 within about twice ``stdtr``'s own. Tables are built on first use,
 read-only, and kept for the 16 most recently used dofs. Rows with
-|t| > 16, any other dof, and a ``v`` of more than one value keep ``stdtr``, as
-does ``student_t_cdf_stdtr`` everywhere. The entropy quadrature calls
-that one: each component entropy meets a fresh dof, and building its
-table cost more than it saved. Through ``student_t_cdf``, 1,500 cold
-seed-1 entropy-cells requests ran at about 4,400 instead of 8,900 req/s
-(p50 0.255 against 0.125 ms), and values moved by up to 6.8e-15
-relative.
+|t| > 16, any other dof, and a ``v`` of more than one value keep ``stdtr``.
+The entropy quadrature calls ``stdtr`` itself: each component entropy
+meets a fresh dof, and building its table cost more than it saved.
+Through ``student_t_cdf``, 1,500 cold seed-1 entropy-cells requests ran
+at about 4,400 instead of 8,900 req/s (p50 0.255 against 0.125 ms), and
+values moved by up to 6.8e-15 relative.
 ``student_t_log_tail`` gives ln T_v(t) where T_v(t) underflows.
 
 Domain violations and NaN inputs raise ``ValueError``; they are never
@@ -42,7 +43,6 @@ __all__ = [
     "log_beta",
     "reg_inc_beta",
     "student_t_cdf",
-    "student_t_cdf_stdtr",
     "student_t_log_tail",
     "student_t_logpdf",
 ]
@@ -165,11 +165,6 @@ def reg_inc_beta(a, b, x):
 def student_t_cdf(x, v):
     """CDF of the standard Student t with v > 0 degrees of freedom; one dof in [1, 64] reads a table."""
     return _apply(_t_cdf, "student_t_cdf", ("v",), x=x, v=v)
-
-
-def student_t_cdf_stdtr(x, v):
-    """CDF of the standard Student t with v > 0 degrees of freedom, by ``stdtr`` at every point."""
-    return _apply(lambda x, v: special.stdtr(v, x), "student_t_cdf_stdtr", ("v",), x=x, v=v)
 
 
 def student_t_log_tail(x, v):

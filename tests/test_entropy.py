@@ -507,18 +507,52 @@ class TestRuleBookkeeping:
             j = np.rint(8192 * t)
             assert np.abs(8192 * t - j).max() < 1e-6
             grids.append(j)
+            # mirror-symmetric bit for bit, which the Shannon rule's one t CDF call per pair needs
+            cosh_t, cosh_u, sinh_u = table
+            assert np.array_equal(cosh_t, cosh_t[::-1]) and np.array_equal(cosh_u, cosh_u[::-1])
+            assert np.array_equal(sinh_u, -sinh_u[::-1])
         assert grids[0].size == 321 and np.all(np.diff(grids[0]) == 256)
         assert np.array_equal(np.sort(np.concatenate(grids)), np.arange(-40960, 40961))
 
     # A perf guard without timing: a cold call makes one integrand call for the
-    # first three levels, plus the peak probe of the Renyi rule.
+    # first three levels, plus the peak probe of the Renyi rule. The Shannon call
+    # sees the 161 nodes y <= 0 of level 0's 321.
     @pytest.mark.parametrize("kind, calls", [("shannon", 1), ("renyi2", 2)])
     def test_cold_call_counts_of_the_t_cdf(self, monkeypatch, kind, calls):
         seen = []
-        real = specfn.student_t_cdf_stdtr
-        monkeypatch.setattr(specfn, "student_t_cdf_stdtr", lambda x, v: seen.append(np.size(x)) or real(x, v))
+        real = entropy_module.stdtr
+        monkeypatch.setattr(entropy_module, "stdtr", lambda v, a: seen.append(np.size(a)) or real(v, a))
         RULE_ENTROPIES[kind](tables.single_case(1, 3.0))
         assert len(seen) == calls
+        if kind == "shannon":
+            assert seen == [161]
+
+    @pytest.mark.parametrize("variant", ["frozen", "printed"])
+    def test_shannon_rule_refuses_unpaired_nodes(self, monkeypatch, case2, variant):
+        real = entropy_module._sinh_sinh
+        monkeypatch.setattr(entropy_module, "_sinh_sinh", lambda fn, x0, scale: real(fn, x0 + 0.5, scale))
+        with pytest.raises(RuntimeError, match="pairs"):
+            skew_correction(fresh(case2), variant=variant)
+
+
+class TestTCdfMirror:
+    """The Shannon rule's premise: stdtr(v, a) == 1 - stdtr(v, -a) bit for bit, for a >= 0.
+
+    A scipy whose stdtr breaks it fails here by name instead of moving entropies.
+    """
+
+    def test_bit_for_bit(self):
+        dofs = np.concatenate((np.geomspace(0.1, 1e6, 57), [0.3, 0.9, 1.0, 2.0, 3.0, 4.5, 7.0, 64.0, 100.0]))
+        rng = np.random.default_rng(26)
+        a = np.concatenate((
+            [0.0, 5e-324, 1e-300, 1e300, np.finfo(float).max],
+            np.geomspace(1e-300, 1e300, 2001),
+            10.0 ** rng.uniform(-4.0, 4.0, 4000),
+            rng.uniform(0.0, 10.0, 2000),
+        ))
+        for v in dofs:
+            upper = special.stdtr(v, a)
+            assert upper.tobytes() == (1.0 - special.stdtr(v, -a)).tobytes(), v
 
 
 def solo(p):

@@ -222,7 +222,6 @@ class TestTCdfTable:
             assert specfn.student_t_cdf(t, v).tobytes() == special.stdtr(v, t).tobytes()
         two = np.array([4.0, 4.0])
         assert specfn.student_t_cdf(t[:2], two).tobytes() == special.stdtr(two, t[:2]).tobytes()
-        assert specfn.student_t_cdf_stdtr(t, 4.0).tobytes() == special.stdtr(4.0, t).tobytes()
 
     def test_each_value_depends_on_its_point_alone(self):
         t = np.random.default_rng(7).standard_normal(5000) * 12.0
@@ -256,7 +255,6 @@ ARGS = [
     (specfn.reg_inc_beta, (2.5, 0.7, 0.3)),
     (specfn.student_t_cdf, (-1.3, 4.5)),
     (specfn.student_t_logpdf, (-1.3, 4.5)),
-    (specfn.student_t_cdf_stdtr, (-1.3, 4.5)),
     (specfn.student_t_log_tail, (-40.0, 1e5)),
 ]
 
