@@ -17,8 +17,13 @@ Layers:
   dof 3-12), built anew for every repeat so that no kept correction is
   reused; the time is per call.
 
+End to end, each of ``skewtmix reproduce --table 1|2|3 --out json`` runs
+as a whole subprocess at default settings, in the pinned environment, once
+per repeat. Its checksum sums the rows' numeric cells, and ``exit_code``
+is the run's exit code (the same on every repeat, or the script fails).
+
 Each entry records the median and interquartile range of its repeats in
-seconds, the repeat count, its ``size`` (points or components) and a
+seconds, the repeat count, its ``size`` (points, components or rows) and a
 checksum: the sum of the layer's outputs rounded to CHECKSUM_DIGITS
 significant digits, so that a last-bit move leaves it alone and a changed
 value shows.
@@ -39,6 +44,7 @@ os.environ.update(PINNED_ENV)
 import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -46,7 +52,8 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
 import skewtmix  # noqa: E402
 from skewtmix import entropy, specfn  # noqa: E402
@@ -55,6 +62,8 @@ from skewtmix.distributions import SkewTParams  # noqa: E402
 CHECKSUM_DIGITS = 10
 T_CDF_DOFS = (5.3, 100.0)
 RENYI_ORDERS = (2.0, 30.0)
+REPRODUCE_TABLES = (1, 2, 3)
+CLI = "import sys; from skewtmix.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def entry(times: list, outputs, size: int) -> dict:
@@ -101,6 +110,22 @@ def cold_entropy_layer(fn, specs: list, repeats: int) -> dict:
     return entry(times[1:], out, len(specs))
 
 
+def reproduce_run(table: int, repeats: int) -> dict:
+    argv = [sys.executable, "-c", CLI, "reproduce", "--table", str(table), "--out", "json"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    times, procs = [], []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        procs.append(subprocess.run(argv, capture_output=True, text=True, env=env))
+        times.append(time.perf_counter() - start)
+    codes = {p.returncode for p in procs}
+    if not codes <= {0, 2} or len(codes) != 1:
+        raise RuntimeError(f"reproduce --table {table} exited {sorted(codes)}: {procs[-1].stderr}")
+    rows = json.loads(procs[-1].stdout)
+    cells = [v for row in rows for v in row.values() if isinstance(v, (int, float)) and not isinstance(v, bool)]
+    return {**entry(times, cells, len(rows)), "exit_code": procs[-1].returncode}
+
+
 def run(points: int, count: int, repeats: int) -> dict:
     layers = {f"student_t_cdf v={v:g}": t_cdf_layer(v, points, repeats) for v in T_CDF_DOFS}
     specs = components(count)
@@ -117,7 +142,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", type=Path, default=Path("."), help="directory to write into (default: .)")
     parser.add_argument("--points", type=int, default=1_000_000, help="points of each student_t_cdf call")
     parser.add_argument("--components", type=int, default=1500, help="fresh components per cold entropy layer")
-    parser.add_argument("--repeats", type=int, default=9, help="timed repeats of each layer")
+    parser.add_argument("--repeats", type=int, default=9, help="timed repeats of each layer and end-to-end run")
     args = parser.parse_args(argv)
     if min(args.points, args.components, args.repeats) < 1:
         parser.error("--points, --components and --repeats must be at least 1")
@@ -134,6 +159,7 @@ def main(argv=None) -> int:
         },
         "checksum_digits": CHECKSUM_DIGITS,
         "layers": run(args.points, args.components, args.repeats),
+        "end_to_end": {f"reproduce --table {t}": reproduce_run(t, args.repeats) for t in REPRODUCE_TABLES},
     }
     path = args.out_dir / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n")

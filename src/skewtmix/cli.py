@@ -2,13 +2,14 @@
 
 Exit codes: 0 on success; 1 on validation or domain errors, among them
 ``--threads`` below 1, ``--samples`` below 2 and ``--seed`` outside
-[0, 2**64) (the config file's rules), a ``--rows`` filter that is
-malformed, names a column the table's rows lack or names one twice, and
-a Monte Carlo Renyi order at which the estimate has infinite variance;
-2 when a reproduction run's pass rate over scored cells, at the fixed
-``tables.DEFAULT_TOLERANCE``, drops below the threshold, or on an
-argparse usage error such as a ``--threads`` that is neither an integer
-nor 'auto' or a ``--table`` other than 1, 2 or 3.
+[0, 2**64) (the config file's rules), and a Monte Carlo Renyi order at
+which the estimate has infinite variance, judged by the smallest dof among
+the components of positive weight; 2 when a reproduction run's pass rate
+over scored cells, at the fixed ``tables.DEFAULT_TOLERANCE``, drops below
+the threshold, or on an argparse usage error such as a ``--threads`` that
+is neither an integer nor 'auto', a ``--table`` other than 1, 2 or 3, or
+an unknown option (``--rows`` and ``--out-file`` among them). Reports go
+to stdout; select rows from ``--out json``.
 """
 
 from __future__ import annotations
@@ -51,13 +52,8 @@ def _run_options(args, seed: int, samples: int):
     return seed, samples, args.threads
 
 
-def _emit(rows, fmt: str, out_file: str | None) -> None:
-    text = rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows)
-    if out_file:
-        with open(out_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(rows, fmt: str) -> None:
+    sys.stdout.write(rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows))
 
 
 def _parse_alpha(raw: str):
@@ -117,13 +113,14 @@ def _oracles(mixture, alphas, samples, seed, threads, method="mc"):
 def _refuse_infinite_variance(mixture, alpha, method):
     """Raise ValueError at an order whose Monte Carlo estimate has infinite variance.
 
-    The mixture's density falls like |x|^-(v+d) for its smallest dof v, and
-    the sampled law's like |x|^-(v_q+d): v_q = v for plain sampling, and
-    max(1, v/2) for ``fat_proposal``. The alpha-power estimate then has
-    finite variance, and a meaningful standard error, only for
+    The mixture's density falls like |x|^-(v+d) for the smallest dof v among
+    its components of positive weight (one of weight 0 is never sampled or
+    evaluated), and the sampled law's like |x|^-(v_q+d): v_q = v for plain
+    sampling, and max(1, v/2) for ``fat_proposal``. The alpha-power estimate
+    then has finite variance, and a meaningful standard error, only for
     2 alpha (v + d) > v_q + 2d.
     """
-    v, d = min(c.dof for c in mixture.components), mixture.dim
+    v, d = min(c.dof for c, w in zip(mixture.components, mixture.weights) if w > 0.0), mixture.dim
     v_q = max(1.0, v / 2.0) if method == "is" else v
     threshold = (v_q + 2 * d) / (2 * (v + d))
     if alpha <= threshold:
@@ -170,7 +167,7 @@ def _cmd_entropy(args) -> int:
         rows = [_row(CONFIG_LABEL, mixture.components, alpha,
                      approx=est.value, oracle=est.value, oracle_se=est.std_error)
                 for alpha, est in zip(alphas, ests)]
-    _emit(rows, args.out, args.out_file)
+    _emit(rows, args.out)
     return 0
 
 
@@ -181,37 +178,8 @@ def _cmd_bounds(args) -> int:
     for alpha in alphas:
         report = _bounds(cfg.mixture, alpha, args.convention)
         rows.append(_bounds_row(CONFIG_LABEL, cfg.mixture, report, next(ests) if args.oracle else None))
-    _emit(rows, args.out, args.out_file)
+    _emit(rows, args.out)
     return 0
-
-
-def _parse_rows_filter(raw: str | None, table: int) -> dict:
-    """The --rows filter as {key: value}; each key a column of the table's rows, given once."""
-    keys = ("d", "v") if table == 1 else ("d", "m")
-    out = {}
-    if not raw:
-        return out
-    for piece in raw.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        if "=" not in piece:
-            raise ValueError(f"--rows filter entries look like d=1 or m=2, got {piece!r}")
-        key, value = piece.split("=", 1)
-        key = key.strip()
-        if key not in keys:
-            raise ValueError(f"row filter key {key!r} is not a column of table {table} (use {' or '.join(keys)})")
-        if key in out:
-            raise ValueError(f"row filter key {key!r} is given twice")
-        try:
-            out[key] = int(value)
-        except ValueError:
-            raise ValueError(f"row filter {key} takes an integer, got {value!r}") from None
-    return out
-
-
-def _keep(filters: dict, **attrs) -> bool:
-    return all(key not in filters or filters[key] == value for key, value in attrs.items())
 
 
 def _scored(case, components, alpha, value, ref, tol) -> ReportRow:
@@ -221,7 +189,7 @@ def _scored(case, components, alpha, value, ref, tol) -> ReportRow:
                 passed=None if tol is None else diff <= tol)
 
 
-def _reproduce_table1(filters):
+def _reproduce_table1():
     rows = []
     reference = {
         1: tables.REFERENCE_TABLE1_D1,
@@ -230,11 +198,7 @@ def _reproduce_table1(filters):
     }
     labels = ["shannon"] + [float(a) for a in tables.TABLE1_ALPHAS] + ["inf"]
     for d in (1, 2, 3):
-        if not _keep(filters, d=d):
-            continue
         for v in tables.TABLE1_DOFS:
-            if not _keep(filters, v=v):
-                continue
             comp = tables.single_case(d, float(v))
             for label, ref in zip(labels, reference[d][v]):
                 value = _entropy(comp, tables.ALPHA_INF_PROXY if label == "inf" else label)
@@ -243,12 +207,10 @@ def _reproduce_table1(filters):
     return rows
 
 
-def _reference_rows(case, ms, orders, convention, reference, filters):
+def _reference_rows(case, ms, orders, convention, reference):
     """Scored d = 1 rows: lower, upper, approx and, where referenced, the half-width."""
     rows = []
     for m in ms:
-        if not _keep(filters, d=1, m=m):
-            continue
         mixture = tables.mixture_d1(m)
         for alpha in orders:
             report = _bounds(mixture, alpha, convention)
@@ -263,13 +225,11 @@ def _reference_rows(case, ms, orders, convention, reference, filters):
     return rows
 
 
-def _property_rows(case, shapes, orders, filters, seed, samples, threads):
+def _property_rows(case, shapes, orders, seed, samples, threads):
     """Rows for d >= 2 mixtures: exact bounds must be ordered and hold the oracle within 3 SE."""
     rows = []
     for d, ms in shapes:
         for m in ms:
-            if not _keep(filters, d=d, m=m):
-                continue
             mixture = tables.builtin_mixture(f"d{d}_m{m}")
             ests = _oracles(mixture, orders, samples, seed, threads)
             for alpha in orders:
@@ -284,24 +244,19 @@ def _property_rows(case, shapes, orders, filters, seed, samples, threads):
 
 
 def _cmd_reproduce(args) -> int:
-    filters = _parse_rows_filter(args.rows, args.table)
     seed, samples, threads = _run_options(args, DEFAULT_SEED, DEFAULT_SAMPLES)
     if args.table == 1:
-        rows = _reproduce_table1(filters)
+        rows = _reproduce_table1()
     elif args.table == 2:
         # the fourth reference entry, the half-width, is not scored for table 2
         rows = _reference_rows("t2", (2, 3, 4, 5), ("shannon",), "paper",
-                               lambda m, _: tables.REFERENCE_TABLE2_D1[m][:3], filters)
-        rows += _property_rows("t2", ((2, (2, 3, 4, 5)), (3, (2, 3))), ("shannon",),
-                               filters, seed, samples, threads)
+                               lambda m, _: tables.REFERENCE_TABLE2_D1[m][:3])
+        rows += _property_rows("t2", ((2, (2, 3, 4, 5)), (3, (2, 3))), ("shannon",), seed, samples, threads)
     else:
         rows = _reference_rows("t3", (2, 3, 4), tables.TABLE3_ALPHAS, "listed",
-                               lambda m, a: tables.REFERENCE_TABLE3_D1[(m, a)], filters)
-        rows += _property_rows("t3", ((2, (2, 3)), (3, (2,))), (2, 5),
-                               filters, seed, samples, threads)
-    if not rows:
-        raise ValueError("row filter matched nothing")
-    _emit(rows, args.out, args.out_file)
+                               lambda m, a: tables.REFERENCE_TABLE3_D1[(m, a)])
+        rows += _property_rows("t3", ((2, (2, 3)), (3, (2,))), (2, 5), seed, samples, threads)
+    _emit(rows, args.out)
     scored = [r for r in rows if r.passed is not None]
     passed = sum(1 for r in scored if r.passed)
     rate = passed / len(scored) if scored else 1.0
@@ -328,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", default="auto", type=_threads_arg,
                        help="worker threads (results are thread-count invariant)")
         p.add_argument("--out", choices=("csv", "json"), default="csv")
-        p.add_argument("--out-file", default=None, help="write the report here instead of stdout")
 
     p_entropy = sub.add_parser("entropy", help="entropy of a configured model")
     common(p_entropy, needs_config=True)
@@ -350,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("reproduce", help="compare against the bundled reference tables")
     common(p_rep, needs_config=False)
     p_rep.add_argument("--table", type=int, choices=(1, 2, 3), required=True, help="reference table id")
-    p_rep.add_argument("--rows", default=None,
-                       help="filter like 'd=1' or 'd=1,m=2': d and v for table 1, d and m for tables 2 and 3")
     p_rep.set_defaults(func=_cmd_reproduce)
     return parser
 

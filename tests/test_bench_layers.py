@@ -9,13 +9,16 @@ SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 def test_layer_bench_writes_its_keys(tmp_path):
     # tiny sizes: this checks the file's layout, not any timing
     proc = subprocess.run([sys.executable, str(SCRIPT), "--pr", "7", "--out-dir", str(tmp_path),
-                           "--points", "1000", "--components", "6", "--repeats", "2"],
+                           "--points", "1000", "--components", "6", "--repeats", "1"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads((tmp_path / "BENCH_7.json").read_text())
-    assert set(doc) == {"pr", "env", "checksum_digits", "layers"} and doc["pr"] == 7
+    assert set(doc) == {"pr", "env", "checksum_digits", "layers", "end_to_end"} and doc["pr"] == 7
     assert set(doc["env"]) == {"nproc", "pinned_env", "machine", "python", "numpy", "scipy", "skewtmix"}
     assert set(doc["layers"]) == {"student_t_cdf v=5.3", "student_t_cdf v=100", "skewt_shannon cold",
                                   "skewt_renyi cold alpha=2", "skewt_renyi cold alpha=30"}
     for layer in doc["layers"].values():
         assert set(layer) == {"median_s", "iqr_s", "repeats", "size", "checksum"}
+    assert set(doc["end_to_end"]) == {"reproduce --table 1", "reproduce --table 2", "reproduce --table 3"}
+    for run in doc["end_to_end"].values():
+        assert set(run) == {"median_s", "iqr_s", "repeats", "size", "checksum", "exit_code"}

@@ -340,6 +340,28 @@ class TestImportanceSampling:
         assert np.array_equal(prop.weights, mix_d1_m2.weights)
 
 
+class TestCalibration:
+    # Over 20 seeds the estimates' spread matches the reported SE, and their mean sits within
+    # 3 SE/sqrt(20) of the exact value. No per-seed bound: one seed in 20 may lie past 3 SE.
+    SEEDS = range(1, 21)
+
+    @pytest.mark.parametrize("alpha", [0.75, 2.0])
+    @pytest.mark.parametrize("method", ["plain", "importance"])
+    def test_spread_matches_the_reported_se(self, case1, method, alpha):
+        logpdf = lambda x: skewt_logpdf(case1, x)  # noqa: E731
+        if method == "plain":
+            sampler = lambda k, s, c: sample_skewt(case1, k, s, chunk=c)  # noqa: E731
+            ests = [mc_renyi(logpdf, sampler, alpha, 20_000, seed) for seed in self.SEEDS]
+        else:
+            proposal = fat_proposal(case1)
+            calls = (lambda x: skewt_logpdf(proposal, x), lambda k, s, c: sample_skewt(proposal, k, s, chunk=c))
+            ests = [is_renyi(logpdf, *calls, alpha, 20_000, seed) for seed in self.SEEDS]
+        values = np.array([e.value for e in ests])
+        se = float(np.median([e.std_error for e in ests]))
+        assert 0.6 <= np.std(values, ddof=1) / se <= 1.6
+        assert abs(values.mean() - skewt_renyi(case1, alpha)) <= 3 * se / math.sqrt(len(ests))
+
+
 class TestSharedEvaluation:
     @staticmethod
     def counting(draws):
