@@ -15,7 +15,15 @@ Layers:
 * cold ``skewt_shannon`` and ``skewt_renyi`` at orders 2 and 30: one call
   on each of ``--components`` fresh components (d = 1, 2, 3 in turn,
   dof 3-12), built anew for every repeat so that no kept correction is
-  reused; the time is per call.
+  reused; the time is per call;
+* ``renyi_bounds(d1_m4, 30)`` and ``shannon_bounds(d1_m4,
+  convention="exact")`` on the bundled mixture d1_m4, cold and warm, with
+  ``--components`` / 4 calls (at least one) per repeat, as many components
+  as the cold entropy layers use: cold makes one call on each of that many
+  copies built anew for every repeat, so every component entropy and
+  moment is computed; warm makes as many calls on one copy that has been
+  called once before, so each component returns its kept values. The time
+  is per call.
 
 End to end, each of ``skewtmix reproduce --table 1|2|3 --out json`` runs
 as a whole subprocess at default settings, in the pinned environment, once
@@ -23,7 +31,7 @@ per repeat. Its checksum sums the rows' numeric cells, and ``exit_code``
 is the run's exit code (the same on every repeat, or the script fails).
 
 Each entry records the median and interquartile range of its repeats in
-seconds, the repeat count, its ``size`` (points, components or rows) and a
+seconds, the repeat count, its ``size`` (points, components, calls or rows) and a
 checksum: the sum of the layer's outputs rounded to CHECKSUM_DIGITS
 significant digits, so that a last-bit move leaves it alone and a changed
 value shows.
@@ -56,12 +64,17 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
 import skewtmix  # noqa: E402
-from skewtmix import entropy, specfn  # noqa: E402
+from skewtmix import bounds, entropy, specfn, tables  # noqa: E402
 from skewtmix.distributions import SkewTParams  # noqa: E402
 
 CHECKSUM_DIGITS = 10
 T_CDF_DOFS = (5.3, 100.0)
 RENYI_ORDERS = (2.0, 30.0)
+BOUNDS_MIXTURE = "d1_m4"
+BOUNDS_LAYERS = {
+    f"renyi_bounds {BOUNDS_MIXTURE} alpha=30": lambda m: bounds.renyi_bounds(m, 30),
+    f"shannon_bounds {BOUNDS_MIXTURE} exact": lambda m: bounds.shannon_bounds(m, convention="exact"),
+}
 REPRODUCE_TABLES = (1, 2, 3)
 CLI = "import sys; from skewtmix.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -110,6 +123,18 @@ def cold_entropy_layer(fn, specs: list, repeats: int) -> dict:
     return entry(times[1:], out, len(specs))
 
 
+def bounds_layer(fn, components: int, repeats: int, warm: bool) -> dict:
+    kept = tables.builtin_mixture(BOUNDS_MIXTURE)
+    count = max(1, components // kept.n_components)
+    times = []
+    for _ in range(repeats + 1):  # the first pass, untimed, loads the node tables and warms `kept`
+        mixtures = [kept] * count if warm else [tables.builtin_mixture(BOUNDS_MIXTURE) for _ in range(count)]
+        start = time.perf_counter()
+        out = [fn(m) for m in mixtures]
+        times.append((time.perf_counter() - start) / count)
+    return entry(times[1:], [(r.lower, r.upper) for r in out], count)
+
+
 def reproduce_run(table: int, repeats: int) -> dict:
     argv = [sys.executable, "-c", CLI, "reproduce", "--table", str(table), "--out", "json"]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
@@ -133,6 +158,9 @@ def run(points: int, count: int, repeats: int) -> dict:
     for alpha in RENYI_ORDERS:
         layers[f"skewt_renyi cold alpha={alpha:g}"] = cold_entropy_layer(
             lambda p: entropy.skewt_renyi(p, alpha), specs, repeats)
+    for name, fn in BOUNDS_LAYERS.items():
+        for state in ("cold", "warm"):
+            layers[f"{name} {state}"] = bounds_layer(fn, count, repeats, warm=state == "warm")
     return layers
 
 
@@ -141,7 +169,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name BENCH_<pr>.json")
     parser.add_argument("--out-dir", type=Path, default=Path("."), help="directory to write into (default: .)")
     parser.add_argument("--points", type=int, default=1_000_000, help="points of each student_t_cdf call")
-    parser.add_argument("--components", type=int, default=1500, help="fresh components per cold entropy layer")
+    parser.add_argument("--components", type=int, default=1500, help="fresh components per cold entropy or bounds layer")
     parser.add_argument("--repeats", type=int, default=9, help="timed repeats of each layer and end-to-end run")
     args = parser.parse_args(argv)
     if min(args.points, args.components, args.repeats) < 1:

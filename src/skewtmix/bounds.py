@@ -37,7 +37,8 @@ multinomial-Holder lower bound, which is valid everywhere: by Minkowski,
   the smaller of ln(sum w_i^alpha int f_i^alpha)/(1-alpha), which drops
   the nonnegative cross terms of int (sum w_i f_i)^alpha, and the Gaussian
   maximum-entropy bound on the mixture covariance, which applies because
-  H_alpha <= H for alpha > 1 (used only when every dof exceeds 2).
+  H_alpha <= H for alpha > 1 (used only when every dof of positive weight
+  exceeds 2).
 * ``convention="listed"`` exists only to reproduce the bundled Renyi
   table: it telescopes in the listed component order, without the sort,
   and reports the smaller of that value and the Holder value as the lower
@@ -52,7 +53,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .distributions import MixtureParams, _require_dof, mixture_cov, skewt_mean
+from .distributions import MixtureParams, _live, _mean, _require_dof, mixture_cov
 from .entropy import skewt_renyi, skewt_shannon
 from .linalg import SpdMatrix, log_det
 
@@ -149,9 +150,9 @@ def _centered_covariance(m: MixtureParams) -> SpdMatrix:
     d = m.dim
     acc = np.zeros((d, d))
     drift = np.zeros(d)
-    for w, comp in zip(m.weights, m.components):
+    for w, comp in _live(m):
         acc += w * comp.dof / (comp.dof - 2.0) * comp.scale.entries
-        drift += w * (skewt_mean(comp) - comp.mu)
+        drift += w * (_mean(comp) - comp.mu)
     return SpdMatrix(acc - np.outer(drift, drift))
 
 
@@ -264,7 +265,7 @@ def renyi_bounds(m: MixtureParams, alpha, *, convention: str = "paper") -> Bound
         upper = _telescoped(m, alpha, rs, np.argsort(rs, kind="stable"))
     elif convention == "exact":
         upper = _log_power_sum(m, rs, alpha, 1.0 - alpha) / (1.0 - alpha)
-        if all(c.dof > 2.0 for c in m.components):
+        if all(c.dof > 2.0 for _, c in _live(m)):
             upper = min(upper, _gaussian_upper(m, mixture_cov(m)))
     else:
         lower, upper = sorted((lower, _telescoped(m, alpha, rs, np.arange(len(rs)))))
@@ -288,28 +289,21 @@ def renyi_large_alpha_approx(m: MixtureParams, alpha) -> float:
     evaluated raises that component's own error.
     """
     alpha = _check_alpha_int(alpha)
-    live = [(math.log(w), c) for w, c in zip(m.weights, m.components) if w > 0.0]
+    live = [(math.log(w), c) for w, c in _live(m)]
     n = len(live)
     if alpha < n:
         raise ValueError(
             "alpha must be at least the component count for the large-order form, zero weights "
             f"not counted; got alpha={alpha}, m={n}"
         )
-    entropies: dict = {}
-
-    def component_entropy(i: int, k: int) -> float:
-        if (i, k) not in entropies:
-            comp = live[i][1]
-            entropies[(i, k)] = skewt_shannon(comp) if k == 1 else skewt_renyi(comp, float(k))
-        return entropies[(i, k)]
-
     ratio = (1.0 - alpha) / alpha
     terms = []
     # parts shifted down by one; at alpha = m only the all-ones composition exists
-    for comp in enumerate_compositions(n, alpha - n):
+    for composition in enumerate_compositions(n, alpha - n):
         acc = 0.0
-        for i, part in enumerate(comp.parts):
+        for (logw, comp), part in zip(live, composition.parts):
             k = part + 1  # strictly positive parts
-            acc += -k * math.log(k / alpha) + k * live[i][0] + ratio * k * component_entropy(i, k)
+            entropy = skewt_shannon(comp) if k == 1 else skewt_renyi(comp, float(k))
+            acc += -k * math.log(k / alpha) + k * logw + ratio * k * entropy
         terms.append(acc)
     return _logsumexp(np.array(terms)) / (1.0 - alpha)

@@ -102,11 +102,14 @@ class SkewTParams:
     ``mu`` and ``delta`` are copied at construction, so a component never
     changes. What is derived from it is computed on first use and kept on
     the component in private fields: the shape quantities of
-    ``derive_shape`` and the converged entropy corrections of the
-    ``entropy`` module. A failed derivation is never kept, so it fails
-    again on every call. Threads that use a component first at the same
-    time may each compute a value; they store equal ones, so no lock is
-    needed.
+    ``derive_shape`` in ``_shape``, and in the ``_kept`` dict the finished
+    values that depend on nothing else: ``skewt_mean`` (read-only, handed
+    out as a copy), ``skewt_cov`` (one shared ``SpdMatrix``) and each
+    converged ``skewt_shannon`` and ``skewt_renyi`` of the ``entropy``
+    module. A failed derivation, a refused order or dof and a quadrature
+    that did not converge are never kept, so they raise or warn again on
+    every call. Threads that use a component first at the same time may
+    each compute a value; they store equal ones, so no lock is needed.
     """
 
     mu: np.ndarray
@@ -114,7 +117,7 @@ class SkewTParams:
     delta: np.ndarray
     dof: float
     _shape: DerivedShape | None = field(default=None, init=False, repr=False, compare=False)
-    _corrections: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mu = np.array(self.mu, dtype=float).reshape(-1)
@@ -212,6 +215,11 @@ class MixtureParams:
     @property
     def n_components(self) -> int:
         return len(self.components)
+
+
+def _live(m: MixtureParams):
+    """(weight, component) of every component of positive weight, in order."""
+    return [(w, c) for w, c in zip(m.weights, m.components) if w > 0.0]
 
 
 def _check_x(p: SkewTParams, x) -> np.ndarray:
@@ -325,7 +333,7 @@ def mixture_logpdf(m: MixtureParams, x) -> float | np.ndarray:
     leading axis in place. The first component's call checks x.
     """
     x = np.asarray(x, dtype=float)
-    terms = [(math.log(w), comp) for w, comp in zip(m.weights, m.components) if w != 0.0]
+    terms = [(math.log(w), comp) for w, comp in _live(m)]
     stacked = np.empty((len(terms),) + x.shape[:-1])
     for i, (logw, comp) in enumerate(terms):
         np.add(skewt_logpdf(comp, x), logw, out=stacked[i, ...])
@@ -341,45 +349,57 @@ def _b_const(v: float) -> float:
     return math.sqrt(v / math.pi) * math.exp(math.lgamma((v - 1.0) / 2.0) - math.lgamma(v / 2.0))
 
 
+def _mean(p: SkewTParams) -> np.ndarray:
+    """The kept, read-only mean vector; requires dof > 1."""
+    mean = p._kept.get("mean")
+    if mean is None:
+        if p.dof <= 1.0:
+            raise ValueError(f"mean undefined for dof = {p.dof} (needs dof > 1)")
+        mean = p.mu + _b_const(p.dof) * derive_shape(p).delta_hat
+        mean.setflags(write=False)
+        p._kept["mean"] = mean
+    return mean
+
+
 def skewt_mean(p: SkewTParams) -> np.ndarray:
-    """Mean vector; requires dof > 1."""
-    if p.dof <= 1.0:
-        raise ValueError(f"mean undefined for dof = {p.dof} (needs dof > 1)")
-    shape = derive_shape(p)
-    return p.mu + _b_const(p.dof) * shape.delta_hat
+    """Mean vector; requires dof > 1. Computed once per component; each call returns a writable copy."""
+    return _mean(p).copy()
 
 
 def skewt_cov(p: SkewTParams) -> SpdMatrix:
-    """Covariance matrix; requires dof > 2."""
-    if p.dof <= 2.0:
-        raise ValueError(f"covariance undefined for dof = {p.dof} (needs dof > 2)")
-    shape = derive_shape(p)
-    b = _b_const(p.dof)
-    cov = p.dof / (p.dof - 2.0) * p.scale.entries - b * b * np.outer(shape.delta_hat, shape.delta_hat)
-    return SpdMatrix(cov)
+    """Covariance matrix; requires dof > 2. Computed and factored once per component, then shared."""
+    cov = p._kept.get("cov")
+    if cov is None:
+        if p.dof <= 2.0:
+            raise ValueError(f"covariance undefined for dof = {p.dof} (needs dof > 2)")
+        delta_hat = derive_shape(p).delta_hat
+        b = _b_const(p.dof)
+        cov = SpdMatrix(p.dof / (p.dof - 2.0) * p.scale.entries - b * b * np.outer(delta_hat, delta_hat))
+        p._kept["cov"] = cov
+    return cov
 
 
 def _require_dof(m: MixtureParams, minimum: int, what: str) -> None:
-    """Raise ValueError naming the first component whose dof does not exceed minimum."""
-    for i, comp in enumerate(m.components):
-        if comp.dof <= minimum:
+    """Raise ValueError naming the first component of positive weight whose dof does not exceed minimum."""
+    for i, (w, comp) in enumerate(zip(m.weights, m.components)):
+        if w > 0.0 and comp.dof <= minimum:
             raise ValueError(f"{what} undefined: component {i} has dof = {comp.dof} (needs dof > {minimum})")
 
 
 def mixture_mean(m: MixtureParams) -> np.ndarray:
-    """Weighted mean of the component means; all dof must exceed 1."""
+    """Weighted mean of the component means; every dof of positive weight must exceed 1."""
     _require_dof(m, 1, "mean")
-    return sum(w * skewt_mean(c) for w, c in zip(m.weights, m.components))
+    return sum(w * _mean(c) for w, c in _live(m))
 
 
 def mixture_cov(m: MixtureParams) -> SpdMatrix:
-    """Mixture covariance by the law of total variance; all dof must exceed 2."""
+    """Mixture covariance by the law of total variance; every dof of positive weight must exceed 2."""
     _require_dof(m, 2, "covariance")
     d = m.dim
     second = np.zeros((d, d))
     mean = np.zeros(d)
-    for w, comp in zip(m.weights, m.components):
-        mi = skewt_mean(comp)
+    for w, comp in _live(m):
+        mi = _mean(comp)
         second += w * (skewt_cov(comp).entries + np.outer(mi, mi))
         mean += w * mi
     return SpdMatrix(second - np.outer(mean, mean))

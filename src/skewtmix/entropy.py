@@ -5,13 +5,18 @@ terms. The skewness corrections are one dimensional expectations against
 a Student t weight, evaluated on arrays by a nested double-exponential
 rule.
 
-A converged correction is kept on its component, keyed by the order (or
-Shannon) and the variant, and later calls with the same key reuse it.
-Order validation and the closed-form part run on every call; a large
-order needs no warning, as the rule centred at the integrand's peak
-follows the entropy down toward -ln max f. A rule that did not converge
-keeps nothing: its value is returned with a ``QuadratureWarning``
-quoting its error estimate, so the warning recurs on every call.
+A finished ``skewt_renyi`` or ``skewt_shannon`` value is kept on its
+component, keyed by the order (or Shannon and the digamma reading) and the
+variant, and a later call with an equal key returns it after checking
+only the variant: the closed-form part, the order checks and the
+quadrature all run once. Orders are keyed by value, so 2 and 2.0 share
+one entry. A large order needs no warning, as the rule centred at the
+integrand's peak follows the entropy down toward -ln max f. An order that
+is refused keeps nothing, so it raises on every call, and neither does a
+rule that did not converge: its value is returned with a
+``QuadratureWarning`` quoting its error estimate, so the warning recurs on
+every call. ``skew_correction``, ``mt_shannon``, ``mt_renyi`` and
+``power_integral_constant`` keep nothing.
 
 Two printed-formula ambiguities were resolved against an independent
 Monte Carlo oracle and frozen (see the test suite's resolution gate):
@@ -177,39 +182,33 @@ def _check_variant(variant: str) -> None:
         raise ValueError("variant must be 'frozen' or 'printed'")
 
 
-def _keep_or_warn(p: SkewTParams, key, rule: _Quadrature, what: str, divisor: float = 1.0) -> float:
-    """rule.value / divisor in nats; kept on p under key if the rule converged, else warned about."""
-    value = rule.value / divisor
-    if rule.converged:
-        p._corrections[key] = value
-    else:
+# The rule of a correction that is exactly zero (delta = 0).
+_ZERO = _Quadrature(0.0, 0.0, 0, True)
+
+
+def _correction(rule: _Quadrature, what: str, divisor: float = 1.0) -> float:
+    """rule.value / divisor in nats, with a QuadratureWarning if the rule did not converge."""
+    if not rule.converged:
         _warn_at_caller(
             f"{what} did not reach the requested tolerance: "
             f"error estimate {rule.error / abs(divisor):.3g} over {rule.points} points",
             QuadratureWarning,
         )
+    return rule.value / divisor
+
+
+def _keep(p: SkewTParams, key, value: float, rule: _Quadrature) -> float:
+    """value, kept on p under key if its rule converged."""
+    if rule.converged:
+        p._kept[key] = value
     return value
 
 
-def skew_correction(p: SkewTParams, *, variant: str = "frozen") -> float:
-    """Amount by which the shape vector lowers the Shannon entropy.
-
-    The correction is the expectation, under Y ~ t_{v+d-1}, of
-    2 G1(a(Y); v+d) ln(2 G1(a(Y); v+d)) with
-    a(y) = sqrt((v+d) dd) y / sqrt(v+d-1+y^2) and dd = delta'S^-1 delta.
-    Nonnegative; exactly zero for delta = 0.
-
-    ``variant="printed"`` swaps the weight factor for the rejected
-    reading (argument sqrt(dd) y sqrt((v+1)/(v+y^2)), dof v+1), which
-    coincides with the frozen one in dimension 1.
-    """
-    _check_variant(variant)
+def _shannon_rule(p: SkewTParams, variant: str) -> _Quadrature:
+    """The quadrature of the Shannon skewness correction; see skew_correction."""
     dd = derive_shape(p).dd
     if dd == 0.0:
-        return 0.0
-    key = ("shannon", variant)
-    if key in p._corrections:
-        return p._corrections[key]
+        return _ZERO
     v, d = p.dof, p.dim
     w = v + d - 1.0
     s = math.sqrt((v + d) * dd)
@@ -231,13 +230,35 @@ def skew_correction(p: SkewTParams, *, variant: str = "frozen") -> float:
         wt = 2.0 * cdf(v + 1.0, math.sqrt(dd) * y * np.sqrt((v + 1.0) / (v + y * y)))
         return xlogy(wt, g2)
 
-    rule = _sinh_sinh(lambda y: np.exp(specfn._t_logpdf(y, w)) * fn(y), 0.0, 1.0)
-    return _keep_or_warn(p, key, rule, "Shannon skewness correction")
+    return _sinh_sinh(lambda y: np.exp(specfn._t_logpdf(y, w)) * fn(y), 0.0, 1.0)
+
+
+def skew_correction(p: SkewTParams, *, variant: str = "frozen") -> float:
+    """Amount by which the shape vector lowers the Shannon entropy.
+
+    The correction is the expectation, under Y ~ t_{v+d-1}, of
+    2 G1(a(Y); v+d) ln(2 G1(a(Y); v+d)) with
+    a(y) = sqrt((v+d) dd) y / sqrt(v+d-1+y^2) and dd = delta'S^-1 delta.
+    Nonnegative; exactly zero for delta = 0.
+
+    ``variant="printed"`` swaps the weight factor for the rejected
+    reading (argument sqrt(dd) y sqrt((v+1)/(v+y^2)), dof v+1), which
+    coincides with the frozen one in dimension 1.
+    """
+    _check_variant(variant)
+    return _correction(_shannon_rule(p, variant), "Shannon skewness correction")
 
 
 def skewt_shannon(p: SkewTParams, *, digamma: str = "halved", variant: str = "frozen") -> float:
-    """Shannon entropy of the skew-t, in nats."""
-    return mt_shannon(p, digamma=digamma) - skew_correction(p, variant=variant)
+    """Shannon entropy of the skew-t, in nats; kept on the component once its rule converges."""
+    _check_variant(variant)
+    key = ("shannon", digamma, variant)
+    value = p._kept.get(key)
+    if value is None:
+        base = mt_shannon(p, digamma=digamma)
+        rule = _shannon_rule(p, variant)
+        value = _keep(p, key, base - _correction(rule, "Shannon skewness correction"), rule)
+    return value
 
 
 def skewt_renyi(p: SkewTParams, alpha: float, *, variant: str = "frozen") -> float:
@@ -249,17 +270,25 @@ def skewt_renyi(p: SkewTParams, alpha: float, *, variant: str = "frozen") -> flo
     ar(x) = sqrt((v+d) dd) x / sqrt(alpha(v+d)-1+x^2).
 
     ``variant="printed"`` runs the expectation over the rejected dof
-    alpha(v+d)-d instead (identical in dimension 1).
+    alpha(v+d)-d instead (identical in dimension 1). The value is kept on
+    the component once its rule converges.
     """
     _check_variant(variant)
-    v, d = p.dof, p.dim
-    base = power_integral_constant(p, alpha) / (1.0 - alpha)
+    key = (alpha, variant)
+    value = p._kept.get(key)
+    if value is None:
+        base = power_integral_constant(p, alpha) / (1.0 - alpha)
+        rule = _renyi_rule(p, alpha, variant)
+        value = _keep(p, key, base + _correction(rule, "order-alpha power expectation", 1.0 - alpha), rule)
+    return value
+
+
+def _renyi_rule(p: SkewTParams, alpha: float, variant: str) -> _Quadrature:
+    """The log-scale quadrature of skewt_renyi's power expectation, for an order already checked."""
     dd = derive_shape(p).dd
     if dd == 0.0:
-        return base
-    key = (alpha, variant)
-    if key in p._corrections:
-        return base + p._corrections[key]
+        return _ZERO
+    v, d = p.dof, p.dim
     den = alpha * (v + d) - 1.0
     dof_x = den if variant == "frozen" else alpha * (v + d) - d
     s = math.sqrt((v + d) * dd)
@@ -289,5 +318,4 @@ def skewt_renyi(p: SkewTParams, alpha: float, *, variant: str = "frozen") -> flo
     curvature = (2.0 * logs[j] - logs[j - 1] - logs[j + 1]) / step**2
     scale = 1.0 / math.sqrt(curvature) if 0.0 < curvature < math.inf else 1.0
 
-    rule = _sinh_sinh(log_integrand, float(probe[j]), scale, log=True)
-    return base + _keep_or_warn(p, key, rule, "order-alpha power expectation", 1.0 - alpha)
+    return _sinh_sinh(log_integrand, float(probe[j]), scale, log=True)

@@ -16,7 +16,9 @@ def test_layer_bench_writes_its_keys(tmp_path):
     assert set(doc) == {"pr", "env", "checksum_digits", "layers", "end_to_end"} and doc["pr"] == 7
     assert set(doc["env"]) == {"nproc", "pinned_env", "machine", "python", "numpy", "scipy", "skewtmix"}
     assert set(doc["layers"]) == {"student_t_cdf v=5.3", "student_t_cdf v=100", "skewt_shannon cold",
-                                  "skewt_renyi cold alpha=2", "skewt_renyi cold alpha=30"}
+                                  "skewt_renyi cold alpha=2", "skewt_renyi cold alpha=30",
+                                  "renyi_bounds d1_m4 alpha=30 cold", "renyi_bounds d1_m4 alpha=30 warm",
+                                  "shannon_bounds d1_m4 exact cold", "shannon_bounds d1_m4 exact warm"}
     for layer in doc["layers"].values():
         assert set(layer) == {"median_s", "iqr_s", "repeats", "size", "checksum"}
     assert set(doc["end_to_end"]) == {"reproduce --table 1", "reproduce --table 2", "reproduce --table 3"}

@@ -103,6 +103,19 @@ class TestShannonBounds:
             shannon_bounds(mix)
         assert str(info.value) == "covariance undefined: component 1 has dof = 2.0 (needs dof > 2)"
 
+    def test_dof_guard_skips_components_of_weight_zero(self, case1):
+        shallow = make_component([0.0], [[1.0]], [0.5], 1.5)
+        mix, alone = make_mixture([case1, shallow], [1.0, 0.0]), make_mixture([case1], [1.0])
+        for convention in ("paper", "exact"):
+            got, want = shannon_bounds(mix, convention=convention), shannon_bounds(alone, convention=convention)
+            assert (got.lower, got.upper) == (want.lower, want.upper)
+        # The Gaussian maximum-entropy cap binds on two equal components and stays in force.
+        pair = make_mixture([case1, case1], [0.5, 0.5])
+        with_absent = make_mixture([case1, case1, shallow], [0.5, 0.5, 0.0])
+        got, want = renyi_bounds(with_absent, 2, convention="exact"), renyi_bounds(pair, 2, convention="exact")
+        assert (got.lower, got.upper) == (want.lower, want.upper)
+        assert want.upper < skewt_renyi(case1, 2) + math.log(2.0)
+
     def test_permutation_invariance(self, mixtures):
         mix = mixtures[3]
         perm = MixtureParams(

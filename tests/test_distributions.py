@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from skewtmix import specfn, tables
+from skewtmix import linalg, specfn, tables
 from skewtmix.distributions import (
     _ALLOC_TAG,
     CHUNK_SIZE,
@@ -28,7 +28,7 @@ from skewtmix.distributions import (
     skewt_logpdf,
     skewt_mean,
 )
-from skewtmix.entropy import skewt_renyi
+from skewtmix.entropy import skewt_renyi, skewt_shannon
 from skewtmix.linalg import NotPositiveDefiniteError, SpdMatrix
 
 from conftest import make_component, make_mixture
@@ -125,7 +125,8 @@ class TestDerivedShape:
 
     def test_concurrent_first_use_agrees(self, case2):
         def first_use(p, x):
-            return derive_shape(p).dd, skewt_logpdf(p, x), skewt_renyi(p, 3.0)
+            moments = skewt_mean(p).tolist() + skewt_cov(p).entries.ravel().tolist()
+            return derive_shape(p).dd, skewt_logpdf(p, x), (skewt_renyi(p, 3.0), skewt_shannon(p), *moments)
 
         x = sample_skewt(case2, 64, 5)
         want = first_use(make_component(case2.mu, case2.scale.entries, case2.delta, case2.dof), x)
@@ -433,6 +434,45 @@ class TestMoments:
         centered = (draws - draws.mean()) ** 2
         var_se = centered.std() / math.sqrt(len(draws))
         assert abs(draws.var() - mixture_cov(mix_d1_m2).entries[0, 0]) <= 4 * var_se
+
+    def test_mean_is_kept_and_handed_out_as_a_copy(self, case2):
+        p = make_component(case2.mu, case2.scale.entries, case2.delta, case2.dof)
+        mean = skewt_mean(p)
+        want = mean.copy()
+        mean += 1.0
+        again = skewt_mean(p)
+        assert again is not mean and again.flags.writeable
+        assert again.tolist() == want.tolist() == skewt_mean(case2).tolist()
+
+    def test_cov_is_factored_once_and_shared(self, monkeypatch, case1, case2):
+        real, calls = linalg._cholesky_factor, []
+
+        def spy(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(linalg, "_cholesky_factor", spy)
+        p = make_component(case2.mu, case2.scale.entries, case2.delta, case2.dof)
+        calls.clear()
+        cov = skewt_cov(p)
+        assert len(calls) == 1
+        assert skewt_cov(p) is cov and len(calls) == 1
+        assert not cov.entries.flags.writeable
+        assert cov.entries.tolist() == skewt_cov(case2).entries.tolist()
+        mix = make_mixture([make_component(c.mu, c.scale.entries, c.delta, c.dof) for c in (case1, case1)],
+                           [0.3, 0.7])
+        calls.clear()
+        first = mixture_cov(mix)
+        assert len(calls) == 3  # each component's covariance, then the mixture's
+        calls.clear()
+        assert mixture_cov(mix).entries.tolist() == first.entries.tolist() and len(calls) == 1
+
+    def test_weight_zero_components_are_not_judged(self, case1):
+        # dof 0.5: neither a mean nor a covariance exists, but weight 0 leaves the mixture's moments alone
+        absent = make_component([5.0], [[2.0]], [1.0], 0.5)
+        mix, alone = make_mixture([case1, absent], [1.0, 0.0]), make_mixture([case1], [1.0])
+        assert mixture_mean(mix).tolist() == mixture_mean(alone).tolist() == skewt_mean(case1).tolist()
+        assert mixture_cov(mix).entries.tolist() == mixture_cov(alone).entries.tolist()
 
     def test_mixture_dof_error_names_component(self, case1):
         bad = make_component([0.0], [[1.0]], [0.0], 1.5)

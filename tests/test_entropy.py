@@ -345,7 +345,7 @@ def unresolved(p):
 
 
 def no_quadrature(*args, **kwargs):
-    raise AssertionError("the quadrature ran again")
+    raise AssertionError("a kept value was computed again")
 
 
 class TestQuadratureFailure:
@@ -355,7 +355,7 @@ class TestQuadratureFailure:
         p = unresolved(request.getfixturevalue(name))
         with pytest.warns(QuadratureWarning, match="did not reach the requested tolerance") as record:
             value = library_correction(p, order)
-        assert p._corrections == {}
+        assert p._kept == {}
         message = next(str(w.message) for w in record if w.category is QuadratureWarning)
         error = float(re.search(r"error estimate (\S+) over 81921 points", message).group(1))
         assert error > 0.0
@@ -364,21 +364,47 @@ class TestQuadratureFailure:
 
 KEPT_CALLS = (
     lambda p: skewt_shannon(p),
+    lambda p: skewt_shannon(p, digamma="printed"),
     lambda p: skewt_renyi(p, 3.0),
     lambda p: skewt_renyi(p, 2.5, variant="printed"),
+    lambda p: skewt_renyi(p, 2),
 )
 
 
 class TestKeptCorrections:
-    """A converged correction is kept on its component; a warning or failure is not."""
+    """A converged entropy is kept on its component; a warning or failure is not."""
 
-    @pytest.mark.parametrize("name", ["case1", "case2", "case3"])
+    def test_refused_orders_and_readings_keep_nothing(self, case1):
+        p = fresh(case1)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="Renyi order too small for tail"):
+                skewt_renyi(p, 0.2)  # at or below d/(v+d) = 0.25
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                skewt_renyi(p, math.nan)
+            with pytest.raises(ValueError, match="variant must be"):
+                skewt_renyi(p, 2.0, variant="other")
+            with pytest.raises(ValueError, match="digamma must be"):
+                skewt_shannon(p, digamma="other")
+        assert p._kept == {}
+
+    @pytest.mark.parametrize("name", ["case1", "case2", "case3", "flat"])
     def test_second_call_reuses_the_first(self, request, monkeypatch, name):
-        p = fresh(request.getfixturevalue(name))
+        if name == "flat":
+            case = request.getfixturevalue("case2")
+            p = make_component(case.mu, case.scale.entries, np.zeros(case.dim), case.dof)
+        else:
+            p = fresh(request.getfixturevalue(name))
         first = [f(p) for f in KEPT_CALLS]
         assert first == [f(fresh(p)) for f in KEPT_CALLS]
-        monkeypatch.setattr("skewtmix.entropy._sinh_sinh", no_quadrature)
+        assert skewt_renyi(fresh(p), 2.0) == first[-1]
+        kept = dict(p._kept)
+        assert len(kept) == len(KEPT_CALLS)
+        # A warm call runs neither the rule nor the closed forms.
+        for stage in ("_sinh_sinh", "power_integral_constant", "mt_shannon", "derive_shape"):
+            monkeypatch.setattr(entropy_module, stage, no_quadrature)
         assert [f(p) for f in KEPT_CALLS] == first
+        assert skewt_renyi(p, 2.0) == first[-1]  # 2 and 2.0 share one entry
+        assert p._kept == kept
 
     def test_starved_calls_warn_every_time_and_keep_nothing(self, case1):
         p = unresolved(case1)
@@ -386,10 +412,12 @@ class TestKeptCorrections:
         for _ in range(2):
             with pytest.warns(QuadratureWarning, match="Shannon skewness correction did not reach"):
                 values.append(skew_correction(p))
+            with pytest.warns(QuadratureWarning, match="Shannon skewness correction did not reach"):
+                values.append(skewt_shannon(p))
             with pytest.warns(QuadratureWarning, match="order-alpha power expectation did not reach"):
                 values.append(skewt_renyi(p, 2.0))
-        assert p._corrections == {}
-        assert values[:2] == values[2:]
+        assert p._kept == {}
+        assert values[:3] == values[3:]
 
     @pytest.mark.parametrize("correction", [
         lambda p, **kw: skew_correction(p, **kw),
