@@ -12,6 +12,11 @@ Layers:
 * ``student_t_cdf`` on ``--points`` points (default 1M), at dof 5.3,
   inside the per-dof table's window, and at dof 100, which calls
   ``stdtr``; one array call per repeat;
+* ``mixture_logpdf`` on ``--points`` draws (default 1M) of each of the
+  bundled mixtures d1_m4, d2_m5 and d3_m3, evaluated in ``mc.BLOCK_SIZE``
+  blocks on one thread, as the Monte Carlo oracle's workers do; the draws
+  are made once, outside the timings;
+* ``sample_mixture`` of ``--points`` draws of d2_m3 in one call;
 * cold ``skewt_shannon`` and ``skewt_renyi`` at orders 2 and 30: one call
   on each of ``--components`` fresh components (d = 1, 2, 3 in turn,
   dof 3-12), built anew for every repeat so that no kept correction is
@@ -64,11 +69,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
 import skewtmix  # noqa: E402
-from skewtmix import bounds, entropy, specfn, tables  # noqa: E402
-from skewtmix.distributions import SkewTParams  # noqa: E402
+from skewtmix import bounds, entropy, mc, specfn, tables  # noqa: E402
+from skewtmix.distributions import SkewTParams, mixture_logpdf, sample_mixture  # noqa: E402
 
 CHECKSUM_DIGITS = 10
 T_CDF_DOFS = (5.3, 100.0)
+LOGPDF_MIXTURES = ("d1_m4", "d2_m5", "d3_m3")
+SAMPLE_MIXTURE = "d2_m3"
 RENYI_ORDERS = (2.0, 30.0)
 BOUNDS_MIXTURE = "d1_m4"
 BOUNDS_LAYERS = {
@@ -97,6 +104,29 @@ def t_cdf_layer(v: float, points: int, repeats: int) -> dict:
     for _ in range(repeats):
         start = time.perf_counter()
         out = specfn.student_t_cdf(x, v)
+        times.append(time.perf_counter() - start)
+    return entry(times, out, points)
+
+
+def mixture_logpdf_layer(mixture_id: str, points: int, repeats: int) -> dict:
+    mix = tables.builtin_mixture(mixture_id)
+    x = sample_mixture(mix, points, 1)
+    mixture_logpdf(mix, x[:10])  # builds the t CDF tables outside the timings
+    out, times = np.empty(points), []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for b in range(0, points, mc.BLOCK_SIZE):
+            out[b:b + mc.BLOCK_SIZE] = mixture_logpdf(mix, x[b:b + mc.BLOCK_SIZE])
+        times.append(time.perf_counter() - start)
+    return entry(times, out, points)
+
+
+def sample_mixture_layer(mixture_id: str, points: int, repeats: int) -> dict:
+    mix = tables.builtin_mixture(mixture_id)
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        out = sample_mixture(mix, points, 1)
         times.append(time.perf_counter() - start)
     return entry(times, out, points)
 
@@ -153,6 +183,9 @@ def reproduce_run(table: int, repeats: int) -> dict:
 
 def run(points: int, count: int, repeats: int) -> dict:
     layers = {f"student_t_cdf v={v:g}": t_cdf_layer(v, points, repeats) for v in T_CDF_DOFS}
+    for mixture_id in LOGPDF_MIXTURES:
+        layers[f"mixture_logpdf {mixture_id} blocked"] = mixture_logpdf_layer(mixture_id, points, repeats)
+    layers[f"sample_mixture {SAMPLE_MIXTURE}"] = sample_mixture_layer(SAMPLE_MIXTURE, points, repeats)
     specs = components(count)
     layers["skewt_shannon cold"] = cold_entropy_layer(entropy.skewt_shannon, specs, repeats)
     for alpha in RENYI_ORDERS:
@@ -168,7 +201,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name BENCH_<pr>.json")
     parser.add_argument("--out-dir", type=Path, default=Path("."), help="directory to write into (default: .)")
-    parser.add_argument("--points", type=int, default=1_000_000, help="points of each student_t_cdf call")
+    parser.add_argument("--points", type=int, default=1_000_000,
+                        help="points of each student_t_cdf call and draws of each mixture layer")
     parser.add_argument("--components", type=int, default=1500, help="fresh components per cold entropy or bounds layer")
     parser.add_argument("--repeats", type=int, default=9, help="timed repeats of each layer and end-to-end run")
     args = parser.parse_args(argv)

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -80,6 +81,7 @@ _MASK64 = (1 << 64) - 1
 _ALLOC_TAG = 0xFFFFFFFF_FFFFFFFF
 # Largest dof: the t entropies' nearly equal lgamma/psi terms lose 8e-10 nats at 1e6, 1.4e-4 at 1e12.
 _MAX_DOF = 1e6
+_PSI_LOCK = threading.Lock()  # see _psi_factor
 
 
 def _warn_at_caller(message: str, category: type) -> None:
@@ -104,12 +106,15 @@ class SkewTParams:
     the component in private fields: the shape quantities of
     ``derive_shape`` in ``_shape``, and in the ``_kept`` dict the finished
     values that depend on nothing else: ``skewt_mean`` (read-only, handed
-    out as a copy), ``skewt_cov`` (one shared ``SpdMatrix``) and each
-    converged ``skewt_shannon`` and ``skewt_renyi`` of the ``entropy``
-    module. A failed derivation, a refused order or dof and a quadrature
-    that did not converge are never kept, so they raise or warn again on
-    every call. Threads that use a component first at the same time may
-    each compute a value; they store equal ones, so no lock is needed.
+    out as a copy), ``skewt_cov`` (one shared ``SpdMatrix``), the sampler's
+    Cholesky factor of S - delta_hat delta_hat' and each converged
+    ``skewt_shannon`` and ``skewt_renyi`` of the ``entropy`` module. A
+    failed derivation or factorization, a refused order or dof and a
+    quadrature that did not converge are never kept, so they raise or warn
+    again on every call. Threads that use a component first at the same
+    time may each compute a value; they store equal ones, so no lock is
+    needed, except around the sampler's factor, which the chunks of one
+    Monte Carlo draw meet on every pool worker at once.
     """
 
     mu: np.ndarray
@@ -439,15 +444,24 @@ def _chunk_ranges(n: int, chunk: int | None):
 
 
 def _psi_factor(p: SkewTParams) -> np.ndarray:
-    """Cholesky factor of U's covariance S - delta_hat delta_hat', computed once per sampling call."""
-    shape = derive_shape(p)
-    try:
-        return SpdMatrix(p.scale.entries - np.outer(shape.delta_hat, shape.delta_hat)).cholesky_factor
-    except NotPositiveDefiniteError:
-        raise NotPositiveDefiniteError(
-            "cannot sample: U's covariance S - delta_hat delta_hat' is not positive definite "
-            f"in floating point at delta'S^-1 delta = {shape.dd:.6g}"
-        ) from None
+    """Cholesky factor of U's covariance S - delta_hat delta_hat', read-only, kept on the component.
+
+    Computed under a lock, so the chunks of one draw running on several
+    threads factor each component once; a failed factorization keeps nothing.
+    """
+    with _PSI_LOCK:
+        lower = p._kept.get("psi_factor")
+        if lower is None:
+            shape = derive_shape(p)
+            try:
+                lower = SpdMatrix(p.scale.entries - np.outer(shape.delta_hat, shape.delta_hat)).cholesky_factor
+            except NotPositiveDefiniteError:
+                raise NotPositiveDefiniteError(
+                    "cannot sample: U's covariance S - delta_hat delta_hat' is not positive definite "
+                    f"in floating point at delta'S^-1 delta = {shape.dd:.6g}"
+                ) from None
+            p._kept["psi_factor"] = lower
+    return lower
 
 
 def _sample_component_chunk(p: SkewTParams, lower: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:

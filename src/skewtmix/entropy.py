@@ -9,14 +9,14 @@ A finished ``skewt_renyi`` or ``skewt_shannon`` value is kept on its
 component, keyed by the order (or Shannon and the digamma reading) and the
 variant, and a later call with an equal key returns it after checking
 only the variant: the closed-form part, the order checks and the
-quadrature all run once. Orders are keyed by value, so 2 and 2.0 share
-one entry. A large order needs no warning, as the rule centred at the
-integrand's peak follows the entropy down toward -ln max f. An order that
-is refused keeps nothing, so it raises on every call, and neither does a
-rule that did not converge: its value is returned with a
-``QuadratureWarning`` quoting its error estimate, so the warning recurs on
-every call. ``skew_correction``, ``mt_shannon``, ``mt_renyi`` and
-``power_integral_constant`` keep nothing.
+quadrature all run once. Orders are keyed by their float value, so 2,
+2.0 and numpy.float32(2) share one entry. A large order needs no
+warning, as the rule centred at the integrand's peak follows the entropy
+down toward -ln max f. An order that is refused keeps nothing, so it
+raises on every call, and neither does a rule that did not converge: its
+value is returned with a ``QuadratureWarning`` quoting its error
+estimate, so the warning recurs on every call. ``skew_correction``,
+``mt_shannon``, ``mt_renyi`` and ``power_integral_constant`` keep nothing.
 
 Two printed-formula ambiguities were resolved against an independent
 Monte Carlo oracle and frozen (see the test suite's resolution gate):
@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -271,9 +272,15 @@ def skewt_renyi(p: SkewTParams, alpha: float, *, variant: str = "frozen") -> flo
 
     ``variant="printed"`` runs the expectation over the rejected dof
     alpha(v+d)-d instead (identical in dimension 1). The value is kept on
-    the component once its rule converges.
+    the component once its rule converges. A real order of any other type
+    than int or float, such as a numpy float32, is taken as a Python float;
+    a complex or other non-real order raises TypeError.
     """
     _check_variant(variant)
+    if type(alpha) is not float and type(alpha) is not int:  # plain orders skip the slow numbers.Real check
+        if not isinstance(alpha, numbers.Real):
+            raise TypeError(f"alpha must be a real number, got {type(alpha).__name__}")
+        alpha = float(alpha)
     key = (alpha, variant)
     value = p._kept.get(key)
     if value is None:

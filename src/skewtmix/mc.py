@@ -18,9 +18,10 @@ reductions run over the whole arrays afterwards. So estimates are
 bit-identical for a fixed seed no matter how many worker threads run the
 jobs, and no job holds more than one chunk of draws.
 
-Block size: a skew-t log density makes about 80 numpy calls per block,
-half of them the t CDF's Horner steps, and the interpreter lock is held
-between them, so two workers scale only when each call is long.
+Block size: a skew-t log density at d = 2 makes about 60 numpy calls
+per block, 33 of them in the t CDF (22 its Horner steps), and the
+interpreter lock is held between them, so two workers scale only when
+each call is long.
 BLOCK_SIZE is half a chunk, 32,768 rows: on 16 chunks of d2_m3 and d3_m3
 (2 vCPUs, BLAS on one thread), mixture_logpdf ran 1.55-1.7x faster on two threads than on one, against
 1.25-1.5x in 16,384-row blocks, and 65,536-row blocks took longer on

@@ -15,7 +15,9 @@ def test_layer_bench_writes_its_keys(tmp_path):
     doc = json.loads((tmp_path / "BENCH_7.json").read_text())
     assert set(doc) == {"pr", "env", "checksum_digits", "layers", "end_to_end"} and doc["pr"] == 7
     assert set(doc["env"]) == {"nproc", "pinned_env", "machine", "python", "numpy", "scipy", "skewtmix"}
-    assert set(doc["layers"]) == {"student_t_cdf v=5.3", "student_t_cdf v=100", "skewt_shannon cold",
+    assert set(doc["layers"]) == {"student_t_cdf v=5.3", "student_t_cdf v=100", "mixture_logpdf d1_m4 blocked",
+                                  "mixture_logpdf d2_m5 blocked", "mixture_logpdf d3_m3 blocked",
+                                  "sample_mixture d2_m3", "skewt_shannon cold",
                                   "skewt_renyi cold alpha=2", "skewt_renyi cold alpha=30",
                                   "renyi_bounds d1_m4 alpha=30 cold", "renyi_bounds d1_m4 alpha=30 warm",
                                   "shannon_bounds d1_m4 exact cold", "shannon_bounds d1_m4 exact warm"}

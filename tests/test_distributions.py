@@ -579,8 +579,10 @@ class TestSamplers:
     def test_unfactorable_psi_names_its_cause(self):
         # S - delta_hat delta_hat' = S / (1 + dd) rounds to 0 at dd = 1e16; the density still evaluates
         p = make_component([0.0], [[1.0]], [1e8], 3.0)
-        with pytest.raises(NotPositiveDefiniteError, match=r"U's covariance S - delta_hat delta_hat' .* = 1e\+16"):
-            sample_skewt(p, 10, 1)
+        for _ in range(2):  # a failed factorization is not kept
+            with pytest.raises(NotPositiveDefiniteError, match=r"U's covariance S - delta_hat delta_hat' .* = 1e\+16"):
+                sample_skewt(p, 10, 1)
+            assert "psi_factor" not in p._kept
         assert math.isfinite(skewt_logpdf(p, [1.0]))
 
     @pytest.mark.parametrize("delta", [1.0, 0.0])
@@ -648,12 +650,34 @@ class TestSamplers:
     def test_psi_factored_once_per_component_per_call(self, monkeypatch):
         # three chunks of a three-component mixture build three SpdMatrix, not nine
         mix = tables.builtin_mixture("d2_m3")
+        first = tables.builtin_mixture("d2_m3").components[0]
         built = []
         real = SpdMatrix.__post_init__
         monkeypatch.setattr(SpdMatrix, "__post_init__", lambda self: built.append(1) or real(self))
         sample_mixture(mix, 3 * CHUNK_SIZE, 5)
-        sample_skewt(mix.components[0], 3 * CHUNK_SIZE, 5)
+        sample_skewt(first, 3 * CHUNK_SIZE, 5)
         assert len(built) == 3 + 1
+
+    def test_psi_factor_is_kept_across_chunked_calls_on_two_threads(self, monkeypatch):
+        # the chunk=c calls of one Monte Carlo draw, four chunks on two workers, factor each component
+        # once; a short thread switch interval makes the workers meet each component at the same time
+        mix = tables.builtin_mixture("d2_m3")
+        n, seed = 4 * CHUNK_SIZE, 5
+        expected = sample_mixture(tables.builtin_mixture("d2_m3"), n, seed)
+        real, calls = linalg._cholesky_factor, []
+        monkeypatch.setattr(linalg, "_cholesky_factor", lambda a: calls.append(a.shape) or real(a))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                chunks = list(pool.map(lambda c: sample_mixture(mix, CHUNK_SIZE, seed, chunk=c), range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == mix.n_components
+        assert np.concatenate(chunks).tobytes() == expected.tobytes()
+        assert all(not c._kept["psi_factor"].flags.writeable for c in mix.components)
+        sample_mixture(mix, n, seed + 1)
+        assert len(calls) == mix.n_components
 
     def test_mixture_allocation_counts(self):
         near = make_component([0.0], [[1.0]], [0.0], 5.0)

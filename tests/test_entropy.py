@@ -406,6 +406,16 @@ class TestKeptCorrections:
         assert skewt_renyi(p, 2.0) == first[-1]  # 2 and 2.0 share one entry
         assert p._kept == kept
 
+    def test_a_numpy_order_is_taken_as_a_python_float(self):
+        p = tables.single_case(2, 3.0)
+        first = skewt_renyi(p, np.float32(2.5))
+        assert type(first) is float and type(skewt_renyi(p, 2.5)) is float
+        assert first == skewt_renyi(tables.single_case(2, 3.0), 2.5)
+        assert list(p._kept) == [(2.5, "frozen")]
+        for order in (2.5 + 0j, np.complex128(2.5), "2.5", np.array(2.5)):
+            with pytest.raises(TypeError, match="alpha must be a real number"):
+                skewt_renyi(p, order)
+
     def test_starved_calls_warn_every_time_and_keep_nothing(self, case1):
         p = unresolved(case1)
         values = []

@@ -199,19 +199,25 @@ TABLE_DOFS = [1.0, 1.0 + 2.0**-40, 2.0, 3.7, 8.0, 12.5, 31.3, 64.0]
 
 
 class TestTCdfTable:
-    """One dof in [1, 64] reads T_v from Taylor coefficients about the knots j/8 on [-16, 16]."""
+    """One dof in [1, 64] reads T_v from 8 Taylor coefficients about each knot j/32 on [-16, 16]."""
 
     @pytest.mark.parametrize("v", TABLE_DOFS)
     def test_within_twice_the_error_of_stdtr(self, v):
-        # knots, knot midpoints (where the Taylor remainder is largest), both sides of +-16, and the
-        # left tail beyond it down to T = 2e-41 at v = 64; the measured worst ratio is 1.5, at v = 2
-        j = np.arange(-128, 128, 2)
+        # every knot and knot midpoint (where the Taylor remainder is largest), both sides of +-16, and
+        # the left tail beyond it down to T = 2e-41 at v = 64; the measured worst ratio is 1.6, at v = 64
+        j = np.arange(-512, 512)
         edges = [-16.0 - 2.0**-40, -16.0, -15.9375, 15.9375, 16.0, 16.0 + 2.0**-40, -20.0, -24.0, -28.0, -32.0]
-        t = np.concatenate([j / 8.0, (j + 0.5) / 8.0, edges])
+        t = np.concatenate([j / 32.0, (j + 0.5) / 32.0, edges])
         ref = np.array([mp_t_cdf(x, v) for x in t])
         ours = np.abs(specfn.student_t_cdf(t, v) / ref - 1.0)
         theirs = np.abs(special.stdtr(v, t) / ref - 1.0)
         assert ours.max() <= 2.0 * max(theirs.max(), np.finfo(float).eps)
+
+    def test_mirrored_knot_values_are_stdtr(self):
+        # the table's c_0 is stdtr on the knots <= 0 and 1 minus it on the rest
+        knots = np.arange(-512, 513) / 32.0
+        for v in TABLE_DOFS:
+            assert specfn._cdf_table(v)[0].tobytes() == special.stdtr(v, knots).tobytes()
 
     def test_beyond_the_knots_and_outside_the_window_is_stdtr(self):
         t = np.array([-1e6, -40.0, -16.0 - 2.0**-40, 16.0 + 2.0**-40, 17.5, 1e3])
