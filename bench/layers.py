@@ -34,9 +34,13 @@ End to end, each of ``skewtmix reproduce --table 1|2|3 --out json`` runs
 as a whole subprocess at default settings, in the pinned environment, once
 per repeat. Its checksum sums the rows' numeric cells, and ``exit_code``
 is the run's exit code (the same on every repeat, or the script fails).
+``python -c "import skewtmix.cli"`` runs the same way, so that the
+``reproduce`` times can be read net of start-up; its size is the number of
+modules the import leaves loaded, and its checksum is 0, as it computes
+nothing.
 
 Each entry records the median and interquartile range of its repeats in
-seconds, the repeat count, its ``size`` (points, components, calls or rows) and a
+seconds, the repeat count, its ``size`` (points, components, calls, rows or modules) and a
 checksum: the sum of the layer's outputs rounded to CHECKSUM_DIGITS
 significant digits, so that a last-bit move leaves it alone and a changed
 value shows.
@@ -84,6 +88,7 @@ BOUNDS_LAYERS = {
 }
 REPRODUCE_TABLES = (1, 2, 3)
 CLI = "import sys; from skewtmix.cli import main; sys.exit(main(sys.argv[1:]))"
+IMPORT = "import sys, skewtmix.cli; print(len(sys.modules))"
 
 
 def entry(times: list, outputs, size: int) -> dict:
@@ -165,14 +170,28 @@ def bounds_layer(fn, components: int, repeats: int, warm: bool) -> dict:
     return entry(times[1:], [(r.lower, r.upper) for r in out], count)
 
 
-def reproduce_run(table: int, repeats: int) -> dict:
-    argv = [sys.executable, "-c", CLI, "reproduce", "--table", str(table), "--out", "json"]
+def subprocess_runs(argv: list, repeats: int) -> tuple:
+    """Wall times and finished processes of `repeats` runs of argv, with this checkout's src/ on the path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     times, procs = [], []
     for _ in range(repeats):
         start = time.perf_counter()
         procs.append(subprocess.run(argv, capture_output=True, text=True, env=env))
         times.append(time.perf_counter() - start)
+    return times, procs
+
+
+def import_run(repeats: int) -> dict:
+    times, procs = subprocess_runs([sys.executable, "-c", IMPORT], repeats)
+    failed = [p for p in procs if p.returncode]
+    if failed:
+        raise RuntimeError(f"import skewtmix.cli exited {failed[0].returncode}: {failed[0].stderr}")
+    return {**entry(times, [], int(procs[-1].stdout)), "exit_code": 0}
+
+
+def reproduce_run(table: int, repeats: int) -> dict:
+    argv = [sys.executable, "-c", CLI, "reproduce", "--table", str(table), "--out", "json"]
+    times, procs = subprocess_runs(argv, repeats)
     codes = {p.returncode for p in procs}
     if not codes <= {0, 2} or len(codes) != 1:
         raise RuntimeError(f"reproduce --table {table} exited {sorted(codes)}: {procs[-1].stderr}")
@@ -221,7 +240,10 @@ def main(argv=None) -> int:
         },
         "checksum_digits": CHECKSUM_DIGITS,
         "layers": run(args.points, args.components, args.repeats),
-        "end_to_end": {f"reproduce --table {t}": reproduce_run(t, args.repeats) for t in REPRODUCE_TABLES},
+        "end_to_end": {
+            "import skewtmix.cli": import_run(args.repeats),
+            **{f"reproduce --table {t}": reproduce_run(t, args.repeats) for t in REPRODUCE_TABLES},
+        },
     }
     path = args.out_dir / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n")

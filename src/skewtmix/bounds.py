@@ -88,7 +88,9 @@ class Composition:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Lower/upper bounds with their midpoint approximation."""
+    """Lower/upper bounds with their midpoint approximation.
+
+    ``per_component`` holds the entropies of the components of positive weight, in order."""
 
     lower: float
     upper: float
@@ -167,8 +169,9 @@ def shannon_bounds(m: MixtureParams, *, convention: str = "paper") -> BoundsRepo
         raise ValueError("convention must be 'paper' or 'exact'")
     _require_dof(m, 2, "covariance")
     digamma = "printed" if convention == "paper" else "halved"
-    per_component = [skewt_shannon(c, digamma=digamma) for c in m.components]
-    lower = float(np.dot(m.weights, per_component))
+    live = _live(m)
+    per_component = [skewt_shannon(c, digamma=digamma) for _, c in live]
+    lower = float(np.dot([w for w, _ in live], per_component))
     upper = _gaussian_upper(m, _centered_covariance(m) if convention == "paper" else mixture_cov(m))
     return BoundsReport(lower=lower, upper=upper, per_component=per_component, alpha="shannon")
 
@@ -189,11 +192,9 @@ def _logsumexp(terms: np.ndarray) -> float:
     return float(shift + np.log(np.sum(np.exp(terms - shift))))
 
 
-def _log_power_sum(m: MixtureParams, rs, a: float, b: float) -> float:
-    """ln sum_i w_i^a exp(b R_i) over the components of positive weight."""
-    w = np.asarray(m.weights)
-    live = w > 0.0
-    return _logsumexp(a * np.log(w[live]) + b * np.asarray(rs)[live])
+def _log_power_sum(w: np.ndarray, rs: np.ndarray, a: float, b: float) -> float:
+    """ln sum_i w_i^a exp(b R_i); every weight must be positive."""
+    return _logsumexp(a * np.log(w) + b * rs)
 
 
 def renyi_lower(m: MixtureParams, alpha) -> float:
@@ -205,7 +206,7 @@ def renyi_lower(m: MixtureParams, alpha) -> float:
     return renyi_bounds(m, alpha).lower
 
 
-def _telescoped(m: MixtureParams, alpha: int, rs, order) -> float:
+def _telescoped(w: np.ndarray, alpha: int, rs: np.ndarray, order) -> float:
     """Telescoping combinator over the components taken in the given order.
 
     ln(sum_i W_i^alpha (I_i - I_{i+1}) + I_m) / (1 - alpha), with I_i the
@@ -215,8 +216,8 @@ def _telescoped(m: MixtureParams, alpha: int, rs, order) -> float:
     which for alpha > 1 is non-decreasing R_alpha; the listed reading takes
     the listed order.
     """
-    log_i = (1.0 - alpha) * np.asarray(rs)[order]
-    w = np.asarray(m.weights)[order]
+    log_i = (1.0 - alpha) * rs[order]
+    w = w[order]
     shift = float(np.max(log_i))
     total = math.exp(log_i[-1] - shift)
     cum = 0.0
@@ -257,18 +258,20 @@ def renyi_bounds(m: MixtureParams, alpha, *, convention: str = "paper") -> Bound
     if convention not in ("paper", "exact", "listed"):
         raise ValueError("convention must be 'paper', 'exact' or 'listed'")
     alpha = _check_alpha_int(alpha)
-    rs = [skewt_renyi(c, alpha) for c in m.components]
+    live = _live(m)
+    rs = [skewt_renyi(c, alpha) for _, c in live]
+    w, r = np.array([weight for weight, _ in live]), np.array(rs)
     # The sum over compositions k of alpha!/prod k_i! prod (w_i e^{(1-alpha)/alpha R_i})^{k_i}
     # is (sum_i w_i e^{(1-alpha)/alpha R_i})^alpha by the multinomial theorem.
-    lower = alpha / (1.0 - alpha) * _log_power_sum(m, rs, 1.0, (1.0 - alpha) / alpha)
+    lower = alpha / (1.0 - alpha) * _log_power_sum(w, r, 1.0, (1.0 - alpha) / alpha)
     if convention == "paper":
-        upper = _telescoped(m, alpha, rs, np.argsort(rs, kind="stable"))
+        upper = _telescoped(w, alpha, r, np.argsort(r, kind="stable"))
     elif convention == "exact":
-        upper = _log_power_sum(m, rs, alpha, 1.0 - alpha) / (1.0 - alpha)
-        if all(c.dof > 2.0 for _, c in _live(m)):
+        upper = _log_power_sum(w, r, alpha, 1.0 - alpha) / (1.0 - alpha)
+        if all(c.dof > 2.0 for _, c in live):
             upper = min(upper, _gaussian_upper(m, mixture_cov(m)))
     else:
-        lower, upper = sorted((lower, _telescoped(m, alpha, rs, np.arange(len(rs)))))
+        lower, upper = sorted((lower, _telescoped(w, alpha, r, np.arange(len(r)))))
     return BoundsReport(lower=lower, upper=upper, per_component=rs, alpha=float(alpha))
 
 

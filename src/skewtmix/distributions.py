@@ -224,7 +224,7 @@ class MixtureParams:
 
 def _live(m: MixtureParams):
     """(weight, component) of every component of positive weight, in order."""
-    return [(w, c) for w, c in zip(m.weights, m.components) if w > 0.0]
+    return [(w, c) for w, c in zip(m.weights.tolist(), m.components) if w > 0.0]
 
 
 def _check_x(p: SkewTParams, x) -> np.ndarray:

@@ -1,13 +1,13 @@
 """Dense symmetric positive definite matrix helpers for small dimensions.
 
 Scale matrices in this package are tiny (d up to roughly 10). The
-factorizations come from numpy.linalg, and ``solve`` and the triangular
-solves from ``scipy.linalg.solve_triangular``; nothing else in the package
-calls them. ``quad_form`` and the log densities whiten their points by a
+factorizations come from numpy.linalg. Every triangular solve is one
 forward substitution L h = z over the d columns in numpy, with no LAPACK
-call, so a row's value does not depend on the batch around it. This module
-adds input validation, the batched (..., d) layout, and one error type for
-matrices that are not positive definite.
+call, so a row's value does not depend on the batch around it: the log
+densities and ``quad_form`` whiten their points with it, and ``solve`` and
+the batched triangular solves, which nothing else in the package calls,
+run on it too. This module adds input validation, the batched (..., d)
+layout, and one error type for matrices that are not positive definite.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -46,7 +45,7 @@ class SpdMatrix:
 
     entries: np.ndarray
     dim: int = field(init=False)
-    _chol: np.ndarray = field(init=False, repr=False, compare=False)
+    cholesky_factor: np.ndarray = field(init=False, repr=False, compare=False)
     _logdet: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -63,11 +62,7 @@ class SpdMatrix:
         sym.setflags(write=False)
         object.__setattr__(self, "entries", sym)
         object.__setattr__(self, "dim", sym.shape[0])
-        object.__setattr__(self, "_chol", _cholesky_factor(sym))
-
-    @property
-    def cholesky_factor(self) -> np.ndarray:
-        return self._chol
+        object.__setattr__(self, "cholesky_factor", _cholesky_factor(sym))
 
 
 def _cholesky_factor(a: np.ndarray) -> np.ndarray:
@@ -96,16 +91,30 @@ def log_det(s) -> float:
     return spd._logdet
 
 
+def _triangular_solve(lower, b, transposed: bool) -> np.ndarray:
+    """L y = b, or L' y = b when ``transposed``; L' is lower triangular in reversed index order."""
+    lower, b = np.asarray(lower, dtype=float), np.asarray(b, dtype=float)
+    d = lower.shape[0] if lower.ndim == 2 else -1
+    if lower.shape != (d, d) or b.ndim == 0 or b.shape[-1] != d:
+        raise ValueError(f"shapes of the factor {lower.shape} and the right-hand side {b.shape} are incompatible")
+    if not (np.isfinite(lower).all() and np.isfinite(b).all()):
+        raise ValueError("the factor and the right-hand side must be finite")
+    if not np.diag(lower).all():
+        raise np.linalg.LinAlgError("singular matrix: the factor has a zero on its diagonal")
+    if transposed:
+        lower, b = lower.T[::-1, ::-1], b[..., ::-1]
+    columns = _substitute(lower, [b[..., j] * 1.0 for j in range(d)])
+    return np.stack(columns[::-1] if transposed else columns, axis=-1)
+
+
 def solve_lower_batch(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve L y = b for lower triangular L; b has shape (..., d)."""
-    b = np.asarray(b, dtype=float)
-    return linalg.solve_triangular(lower, b.reshape(-1, lower.shape[0]).T, lower=True).T.reshape(b.shape)
+    return _triangular_solve(lower, b, False)
 
 
 def solve_upper_batch(lower: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Solve L' x = y for lower triangular L; y has shape (..., d)."""
-    y = np.asarray(y, dtype=float)
-    return linalg.solve_triangular(lower, y.reshape(-1, lower.shape[0]).T, trans=1, lower=True).T.reshape(y.shape)
+    return _triangular_solve(lower, y, True)
 
 
 def _rhs(spd: SpdMatrix, b) -> np.ndarray:

@@ -23,6 +23,7 @@ def test_layer_bench_writes_its_keys(tmp_path):
                                   "shannon_bounds d1_m4 exact cold", "shannon_bounds d1_m4 exact warm"}
     for layer in doc["layers"].values():
         assert set(layer) == {"median_s", "iqr_s", "repeats", "size", "checksum"}
-    assert set(doc["end_to_end"]) == {"reproduce --table 1", "reproduce --table 2", "reproduce --table 3"}
+    assert set(doc["end_to_end"]) == {"import skewtmix.cli", "reproduce --table 1", "reproduce --table 2",
+                                      "reproduce --table 3"}
     for run in doc["end_to_end"].values():
         assert set(run) == {"median_s", "iqr_s", "repeats", "size", "checksum", "exit_code"}

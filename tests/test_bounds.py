@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -396,6 +397,22 @@ def test_bounds_return_float(mixtures):
     values = [v for r in reports for v in (r.lower, r.upper, r.approx, r.half_width, *r.per_component)]
     values += [renyi_lower(mix, 3), renyi_upper(mix, 3), renyi_large_alpha_approx(mix, 3)]
     assert all(type(v) is float for v in values), [type(v) for v in values]
+
+
+@pytest.mark.parametrize("delta", [1e200, 1e4])
+def test_bounds_never_evaluate_a_component_of_weight_zero(mixtures, delta):
+    # delta = 1e200 cannot be standardized and delta = 1e4 leaves the quadrature's convergent range;
+    # neither can move a bound at weight 0, so neither may raise or warn
+    base = mixtures[2]
+    absent = make_component([0.0], [[1.0]], [delta], 3.0)
+    mix = make_mixture(base.components + (absent,), [0.2, 0.8, 0.0])
+    alone = make_mixture(base.components, [0.2, 0.8])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (lambda m: shannon_bounds(m), lambda m: shannon_bounds(m, convention="exact"),
+                   lambda m: renyi_bounds(m, 2), lambda m: renyi_bounds(m, 2, convention="exact")):
+            got, want = fn(mix), fn(alone)
+            assert (got.lower, got.upper, got.per_component) == (want.lower, want.upper, want.per_component)
 
 
 class TestMtConsistency:

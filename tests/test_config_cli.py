@@ -503,6 +503,19 @@ def test_output_independent_of_blas_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_cli_does_not_import_scipy_linalg(tmp_path):
+    # every triangular solve is a numpy substitution, so neither the package nor an oracle run loads scipy.linalg
+    src = str(Path(skewtmix.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import sys, skewtmix, skewtmix.cli; code = skewtmix.cli.main(sys.argv[1:]); "
+              "print('scipy.linalg' in sys.modules, file=sys.stderr); sys.exit(code)")
+    argv = [sys.executable, "-c", script, "bounds", write_config(tmp_path, MIX_M2), "--oracle",
+            "--samples", str(2 * CHUNK_SIZE), "--threads", "2"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 @pytest.mark.parametrize("command", ["entropy", "bounds", "reproduce"])
 def test_threads_below_one_exits_one(tmp_path, capsys, command, threads):
