@@ -17,6 +17,10 @@ Layers:
   blocks on one thread, as the Monte Carlo oracle's workers do; the draws
   are made once, outside the timings;
 * ``sample_mixture`` of ``--points`` draws of d2_m3 in one call;
+* ``mc_shannon`` on ``--points`` draws of d2_m3 at 1 and 2 worker
+  threads, with closures over ``mixture_logpdf`` and ``sample_mixture``
+  built once; the kept draw is cleared before every repeat, so each
+  repeat draws and evaluates anew;
 * cold ``skewt_shannon`` and ``skewt_renyi`` at orders 2 and 30: one call
   on each of ``--components`` fresh components (d = 1, 2, 3 in turn,
   dof 3-12), built anew for every repeat so that no kept correction is
@@ -37,7 +41,10 @@ is the run's exit code (the same on every repeat, or the script fails).
 ``python -c "import skewtmix.cli"`` runs the same way, so that the
 ``reproduce`` times can be read net of start-up; its size is the number of
 modules the import leaves loaded, and its checksum is 0, as it computes
-nothing.
+nothing. ``skewtmix bounds <d2_m3> --oracle --alpha shannon --alpha 2
+--alpha 5 --out json`` runs the same way on a config of the bundled d2_m3
+whose ``samples`` is ``--points``: one ``mc.estimates`` call whose three
+orders share one draw. Its checksum sums the rows' numeric cells.
 
 Each entry records the median and interquartile range of its repeats in
 seconds, the repeat count, its ``size`` (points, components, calls, rows or modules) and a
@@ -63,6 +70,7 @@ import json  # noqa: E402
 import platform  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -80,6 +88,9 @@ CHECKSUM_DIGITS = 10
 T_CDF_DOFS = (5.3, 100.0)
 LOGPDF_MIXTURES = ("d1_m4", "d2_m5", "d3_m3")
 SAMPLE_MIXTURE = "d2_m3"
+MC_MIXTURE = "d2_m3"
+MC_THREADS = (1, 2)
+ORACLE_ORDERS = ("shannon", "2", "5")
 RENYI_ORDERS = (2.0, 30.0)
 BOUNDS_MIXTURE = "d1_m4"
 BOUNDS_LAYERS = {
@@ -136,6 +147,20 @@ def sample_mixture_layer(mixture_id: str, points: int, repeats: int) -> dict:
     return entry(times, out, points)
 
 
+def mc_shannon_layer(mixture_id: str, points: int, threads: int, repeats: int) -> dict:
+    mix = tables.builtin_mixture(mixture_id)
+    logpdf = lambda x: mixture_logpdf(mix, x)  # noqa: E731
+    sampler = lambda count, s, c: sample_mixture(mix, count, s, chunk=c)  # noqa: E731
+    times = []
+    for _ in range(repeats + 1):  # the first pass, untimed, builds the t CDF tables and sampler factors
+        mc._log_densities.cache_clear()
+        start = time.perf_counter()
+        est = mc.mc_shannon(logpdf, sampler, points, 1, threads)
+        times.append(time.perf_counter() - start)
+    mc._log_densities.cache_clear()
+    return entry(times[1:], [est.value, est.std_error], points)
+
+
 def components(count: int) -> list:
     """(mu, scale, delta, dof) of `count` seeded components, d = 1, 2, 3 in turn."""
     rng = np.random.default_rng(2)
@@ -189,15 +214,31 @@ def import_run(repeats: int) -> dict:
     return {**entry(times, [], int(procs[-1].stdout)), "exit_code": 0}
 
 
-def reproduce_run(table: int, repeats: int) -> dict:
-    argv = [sys.executable, "-c", CLI, "reproduce", "--table", str(table), "--out", "json"]
-    times, procs = subprocess_runs(argv, repeats)
+def cli_run(args: list, repeats: int, codes_allowed: set) -> dict:
+    """A CLI command run `repeats` times; its checksum sums the numeric cells of its JSON rows."""
+    times, procs = subprocess_runs([sys.executable, "-c", CLI, *args, "--out", "json"], repeats)
     codes = {p.returncode for p in procs}
-    if not codes <= {0, 2} or len(codes) != 1:
-        raise RuntimeError(f"reproduce --table {table} exited {sorted(codes)}: {procs[-1].stderr}")
+    if not codes <= codes_allowed or len(codes) != 1:
+        raise RuntimeError(f"{' '.join(args)} exited {sorted(codes)}: {procs[-1].stderr}")
     rows = json.loads(procs[-1].stdout)
     cells = [v for row in rows for v in row.values() if isinstance(v, (int, float)) and not isinstance(v, bool)]
     return {**entry(times, cells, len(rows)), "exit_code": procs[-1].returncode}
+
+
+def reproduce_run(table: int, repeats: int) -> dict:
+    return cli_run(["reproduce", "--table", str(table)], repeats, {0, 2})
+
+
+def oracle_run(mixture_id: str, points: int, repeats: int) -> dict:
+    mix = tables.builtin_mixture(mixture_id)
+    doc = {"components": [{"mu": c.mu.tolist(), "scale": c.scale.entries.tolist(), "delta": c.delta.tolist(),
+                           "dof": c.dof} for c in mix.components],
+           "weights": mix.weights.tolist(), "samples": points}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{mixture_id}.json"
+        path.write_text(json.dumps(doc))
+        orders = [x for a in ORACLE_ORDERS for x in ("--alpha", a)]
+        return cli_run(["bounds", str(path), "--oracle", *orders], repeats, {0})
 
 
 def run(points: int, count: int, repeats: int) -> dict:
@@ -205,6 +246,8 @@ def run(points: int, count: int, repeats: int) -> dict:
     for mixture_id in LOGPDF_MIXTURES:
         layers[f"mixture_logpdf {mixture_id} blocked"] = mixture_logpdf_layer(mixture_id, points, repeats)
     layers[f"sample_mixture {SAMPLE_MIXTURE}"] = sample_mixture_layer(SAMPLE_MIXTURE, points, repeats)
+    for threads in MC_THREADS:
+        layers[f"mc_shannon {MC_MIXTURE} threads={threads}"] = mc_shannon_layer(MC_MIXTURE, points, threads, repeats)
     specs = components(count)
     layers["skewt_shannon cold"] = cold_entropy_layer(entropy.skewt_shannon, specs, repeats)
     for alpha in RENYI_ORDERS:
@@ -225,8 +268,8 @@ def main(argv=None) -> int:
     parser.add_argument("--components", type=int, default=1500, help="fresh components per cold entropy or bounds layer")
     parser.add_argument("--repeats", type=int, default=9, help="timed repeats of each layer and end-to-end run")
     args = parser.parse_args(argv)
-    if min(args.points, args.components, args.repeats) < 1:
-        parser.error("--points, --components and --repeats must be at least 1")
+    if args.points < 2 or min(args.components, args.repeats) < 1:
+        parser.error("--points must be at least 2, and --components and --repeats at least 1")
     doc = {
         "pr": args.pr,
         "env": {
@@ -243,6 +286,7 @@ def main(argv=None) -> int:
         "end_to_end": {
             "import skewtmix.cli": import_run(args.repeats),
             **{f"reproduce --table {t}": reproduce_run(t, args.repeats) for t in REPRODUCE_TABLES},
+            f"bounds {MC_MIXTURE} --oracle": oracle_run(MC_MIXTURE, args.points, args.repeats),
         },
     }
     path = args.out_dir / f"BENCH_{args.pr}.json"

@@ -14,30 +14,19 @@ Run:  python demos/03_mixture_bounds.py
 
 import numpy as np
 
-from skewtmix import (
-    MixtureParams,
-    SkewTParams,
-    SpdMatrix,
-    mc_renyi,
-    mc_shannon,
-    mixture_logpdf,
-    renyi_bounds,
-    sample_mixture,
-    shannon_bounds,
-)
+from skewtmix import MixtureParams, SkewTParams, estimates, renyi_bounds, shannon_bounds
 from skewtmix.tables import mixture_d1
 
 N = 200_000
 SEED = 20240601
 
 mix = mixture_d1(2)
-logpdf = lambda x: mixture_logpdf(mix, x)  # noqa: E731
-sampler = lambda count, s, c: sample_mixture(mix, count, s, chunk=c)  # noqa: E731
+# one draw of N points serves both orders of the oracle
+oracle, oracle2 = estimates(mix, ["shannon", 2.0], N, SEED)
 
 print("== two-component mixture, Shannon ==")
 paper_style = shannon_bounds(mix, convention="paper")
 exact_style = shannon_bounds(mix, convention="exact")
-oracle = mc_shannon(logpdf, sampler, N, SEED)
 print(f"reference-style bounds: [{paper_style.lower:.4f}, {paper_style.upper:.4f}]")
 print(f"exact-style bounds    : [{exact_style.lower:.4f}, {exact_style.upper:.4f}]")
 print(f"Monte Carlo oracle    : {oracle.value:.4f} +- {oracle.std_error:.4f}")
@@ -46,7 +35,6 @@ print("the exact-style interval contains the oracle;",
 
 print("\n== the same mixture, Renyi order 2 ==")
 report = renyi_bounds(mix, 2)
-oracle2 = mc_renyi(logpdf, sampler, 2.0, N, SEED)
 print(f"combinator interval: [{report.lower:.4f}, {report.upper:.4f}] midpoint {report.approx:.4f}")
 print(f"Monte Carlo oracle : {oracle2.value:.4f} +- {oracle2.std_error:.4f}")
 print("the oracle exceeds the upper combinator by ~0.33: the combinators")
@@ -65,11 +53,7 @@ centered = MixtureParams(
     weights=mix.weights,
 )
 report_c = renyi_bounds(centered, 2)
-oracle_c = mc_renyi(
-    lambda x: mixture_logpdf(centered, x),
-    lambda count, s, c: sample_mixture(centered, count, s, chunk=c),
-    2.0, N, SEED,
-)
+(oracle_c,) = estimates(centered, [2.0], N, SEED)
 excess = oracle_c.value - report_c.upper
 print(f"combinator interval: [{report_c.lower:.4f}, {report_c.upper:.4f}]")
 print(f"Monte Carlo oracle : {oracle_c.value:.4f} +- {oracle_c.std_error:.4f}  excess over upper: {excess:+.4f}")

@@ -42,7 +42,7 @@ from .entropy import (
     skewt_shannon,
 )
 from .linalg import NotPositiveDefiniteError, SpdMatrix
-from .mc import Estimate, fat_proposal, is_renyi, mc_renyi, mc_shannon
+from .mc import Estimate, estimates, fat_proposal, is_renyi, mc_renyi, mc_shannon
 
 __version__ = "0.1.0"
 
@@ -60,6 +60,7 @@ __all__ = [
     "SpdMatrix",
     "derive_shape",
     "enumerate_compositions",
+    "estimates",
     "fat_proposal",
     "is_renyi",
     "load_config",

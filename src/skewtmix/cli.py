@@ -1,15 +1,18 @@
 """Command line front end: entropy, bounds, and reproduce subcommands.
 
+Every Monte Carlo value comes from ``mc.estimates``, which owns its rules.
+
 Exit codes: 0 on success; 1 on validation or domain errors, among them
 ``--threads`` below 1, ``--samples`` below 2 and ``--seed`` outside
-[0, 2**64) (the config file's rules), and a Monte Carlo Renyi order at
-which the estimate has infinite variance, judged by the smallest dof among
-the components of positive weight; 2 when a reproduction run's pass rate
-over scored cells, at the fixed ``tables.DEFAULT_TOLERANCE``, drops below
-the threshold, or on an argparse usage error such as a ``--threads`` that
-is neither an integer nor 'auto', a ``--table`` other than 1, 2 or 3, or
-an unknown option (``--rows`` and ``--out-file`` among them). Reports go
-to stdout; select rows from ``--out json``.
+[0, 2**64) (the config file's rules), and a Monte Carlo Renyi order that
+is not finite and positive or at which the estimate has infinite variance,
+judged by the smallest dof among the components of positive weight; 2
+when a reproduction run's pass rate over scored cells, at the fixed
+``tables.DEFAULT_TOLERANCE``, drops below the threshold, or on an
+argparse usage error such as a ``--threads`` that is neither an integer
+nor 'auto', a ``--table`` other than 1, 2 or 3, or an unknown option
+(``--rows`` and ``--out-file`` among them). Reports go to stdout; select
+rows from ``--out json``.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ import sys
 from . import tables
 from .bounds import renyi_bounds, shannon_bounds
 from .config import DEFAULT_SAMPLES, DEFAULT_SEED, ConfigError, load_config
-from .distributions import _check_u64, mixture_logpdf, sample_mixture
+from .distributions import _check_u64, _live
 from .entropy import skewt_renyi, skewt_shannon
-from .mc import fat_proposal, is_renyi, mc_renyi, mc_shannon
+from .mc import estimates
 from .reports import ReportRow, rows_to_csv, rows_to_json
 
 PASS_RATE_THRESHOLD = 0.9
@@ -81,56 +84,6 @@ def _row(case, components, alpha, **cells) -> ReportRow:
     )
 
 
-def _oracles(mixture, alphas, samples, seed, threads, method="mc"):
-    """Monte Carlo estimates of the mixture's Shannon (alpha "shannon") or Renyi entropies.
-
-    Yields one estimate per order, in order and only when asked for the next.
-    Every order passes the same closures to the estimator, so all of them
-    share one sample and one log-density evaluation (see ``mc``). Method "is"
-    samples ``fat_proposal(mixture)`` and applies to Renyi orders only.
-    Orders whose estimate has infinite variance raise ``ValueError``.
-    """
-    logpdf = lambda x: mixture_logpdf(mixture, x)  # noqa: E731
-    if method == "is":
-        proposal = fat_proposal(mixture)
-        proposal_logpdf = lambda x: mixture_logpdf(proposal, x)  # noqa: E731
-        sampler = lambda count, s, c: sample_mixture(proposal, count, s, chunk=c)  # noqa: E731
-    else:
-        sampler = lambda count, s, c: sample_mixture(mixture, count, s, chunk=c)  # noqa: E731
-    for alpha in alphas:
-        if alpha != "shannon":
-            _refuse_infinite_variance(mixture, float(alpha), method)
-        if method == "is":
-            if alpha == "shannon":
-                raise ValueError("importance sampling applies to Renyi orders; use --method mc for shannon")
-            yield is_renyi(logpdf, proposal_logpdf, sampler, float(alpha), samples, seed, threads)
-        elif alpha == "shannon":
-            yield mc_shannon(logpdf, sampler, samples, seed, threads)
-        else:
-            yield mc_renyi(logpdf, sampler, float(alpha), samples, seed, threads)
-
-
-def _refuse_infinite_variance(mixture, alpha, method):
-    """Raise ValueError at an order whose Monte Carlo estimate has infinite variance.
-
-    The mixture's density falls like |x|^-(v+d) for the smallest dof v among
-    its components of positive weight (one of weight 0 is never sampled or
-    evaluated), and the sampled law's like |x|^-(v_q+d): v_q = v for plain
-    sampling, and max(1, v/2) for ``fat_proposal``. The alpha-power estimate
-    then has finite variance, and a meaningful standard error, only for
-    2 alpha (v + d) > v_q + 2d.
-    """
-    v, d = min(c.dof for c, w in zip(mixture.components, mixture.weights) if w > 0.0), mixture.dim
-    v_q = max(1.0, v / 2.0) if method == "is" else v
-    threshold = (v_q + 2 * d) / (2 * (v + d))
-    if alpha <= threshold:
-        name = "importance sampling" if method == "is" else "plain Monte Carlo"
-        raise ValueError(
-            f"{name} cannot estimate the Renyi entropy of order {alpha:g}: with smallest dof {v:g} "
-            f"its variance is infinite at orders <= {threshold:.6g}"
-        )
-
-
 def _entropy(comp, alpha):
     """Exact entropy of one component: Shannon for alpha "shannon", else Renyi of order alpha."""
     return skewt_shannon(comp) if alpha == "shannon" else skewt_renyi(comp, alpha)
@@ -155,15 +108,13 @@ def _cmd_entropy(args) -> int:
     cfg, seed, samples, threads, alphas = _load_run(args)
     mixture = cfg.mixture
     if args.method == "exact":
-        if mixture.n_components != 1:
-            raise ValueError(
-                "exact entropies are defined per component; "
-                "use the bounds command for mixtures"
-            )
-        rows = [_row(CONFIG_LABEL, mixture.components, alpha, approx=_entropy(mixture.components[0], alpha))
+        live = _live(mixture)
+        if len(live) != 1:
+            raise ValueError("exact entropies are defined per component; use the bounds command for mixtures")
+        rows = [_row(CONFIG_LABEL, mixture.components, alpha, approx=_entropy(live[0][1], alpha))
                 for alpha in alphas]
     else:
-        ests = _oracles(mixture, alphas, samples, seed, threads, args.method)
+        ests = estimates(mixture, alphas, samples, seed, threads, args.method)
         rows = [_row(CONFIG_LABEL, mixture.components, alpha,
                      approx=est.value, oracle=est.value, oracle_se=est.std_error)
                 for alpha, est in zip(alphas, ests)]
@@ -173,7 +124,7 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_bounds(args) -> int:
     cfg, seed, samples, threads, alphas = _load_run(args)
-    ests = _oracles(cfg.mixture, alphas, samples, seed, threads)
+    ests = estimates(cfg.mixture, alphas, samples, seed, threads)
     rows = []
     for alpha in alphas:
         report = _bounds(cfg.mixture, alpha, args.convention)
@@ -231,7 +182,7 @@ def _property_rows(case, shapes, orders, seed, samples, threads):
     for d, ms in shapes:
         for m in ms:
             mixture = tables.builtin_mixture(f"d{d}_m{m}")
-            ests = _oracles(mixture, orders, samples, seed, threads)
+            ests = estimates(mixture, orders, samples, seed, threads)
             for alpha in orders:
                 report = _bounds(mixture, alpha, "exact")
                 est = next(ests)

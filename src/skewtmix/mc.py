@@ -1,8 +1,11 @@
 """Monte Carlo oracles for Shannon and Renyi entropies.
 
 These estimators are the ground truth the formula modules are validated
-against. They only need a log density and a sampler, so they work for
-any law in the package (and for the closed-form test laws).
+against. ``estimates`` runs them on a mixture: it takes the law and a list
+of orders, refuses the orders it cannot estimate and shares one sample
+among the rest. The estimators themselves only need a log density and a
+sampler, so they work for any law in the package (and for the closed-form
+test laws).
 
 Sampler contract: ``sampler(count, seed, chunk)`` returns the ``count``
 rows of chunk ``chunk`` of the seed's sample, where chunk c of an n-row
@@ -43,11 +46,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import CHUNK_SIZE, MixtureParams, SkewTParams, _check_order, _warn_at_caller
+from .distributions import (CHUNK_SIZE, MixtureParams, SkewTParams, _check_order, _live, _warn_at_caller,
+                            mixture_logpdf, sample_mixture)
 
 __all__ = [
     "Estimate",
     "LowEffectiveSampleSize",
+    "estimates",
     "mc_shannon",
     "mc_renyi",
     "is_renyi",
@@ -167,22 +172,15 @@ def mc_renyi(logpdf, sampler, alpha: float, n: int, seed: int, threads: int = 1)
     variance, and so the reported standard error, is finite only if the
     density's (2 alpha - 1) power is integrable: for tails like |x|^-(v+d)
     in d dimensions, only at alpha > (v + 2d) / (2(v + d)). Below that the
-    standard error means nothing; the command line refuses such orders.
+    standard error means nothing; ``estimates`` refuses such orders.
     """
     _check_order(alpha)
     (lp,) = _log_densities(sampler, n, seed, threads, logpdf)
     return _renyi_estimate((alpha - 1.0) * lp, alpha, seed, PLAIN_MC)
 
 
-def is_renyi(
-    target_logpdf,
-    proposal_logpdf,
-    proposal_sampler,
-    alpha: float,
-    n: int,
-    seed: int,
-    threads: int = 1,
-) -> Estimate:
+def is_renyi(target_logpdf, proposal_logpdf, proposal_sampler, alpha: float, n: int, seed: int,
+             threads: int = 1) -> Estimate:
     """Importance-sampling Renyi entropy of order alpha != 1.
 
     Estimates the alpha-power integral as the proposal average of
@@ -199,8 +197,58 @@ def fat_proposal(law):
     if isinstance(law, SkewTParams):
         return SkewTParams(mu=law.mu, scale=law.scale, delta=law.delta, dof=max(1.0, law.dof / 2.0))
     if isinstance(law, MixtureParams):
-        return MixtureParams(
-            components=tuple(fat_proposal(c) for c in law.components),
-            weights=law.weights,
-        )
+        return MixtureParams(components=tuple(fat_proposal(c) for c in law.components), weights=law.weights)
     raise TypeError(f"no default proposal for {type(law).__name__}")
+
+
+def estimates(mixture: MixtureParams, alphas, n: int, seed: int, threads: int = 1, method: str = "mc"):
+    """Monte Carlo estimates of the mixture's Shannon (order "shannon") or Renyi entropies.
+
+    Yields one Estimate per order, in order and only when asked for the next.
+    Every order passes the same closures to its estimator, so all of them
+    share one sample and one log-density evaluation. Method "mc" samples the
+    mixture; "is" samples ``fat_proposal(mixture)`` and applies to Renyi
+    orders only. An invalid order, or one whose estimate has infinite
+    variance, raises ``ValueError`` when its estimate is asked for.
+    """
+    if method not in ("mc", "is"):
+        raise ValueError(f"method must be 'mc' or 'is', got {method!r}")
+    law = fat_proposal(mixture) if method == "is" else mixture
+    logpdf = lambda x: mixture_logpdf(mixture, x)  # noqa: E731
+    proposal_logpdf = lambda x: mixture_logpdf(law, x)  # noqa: E731
+    sampler = lambda count, s, c: sample_mixture(law, count, s, chunk=c)  # noqa: E731
+
+    def estimate(alpha):
+        if alpha == "shannon":
+            if method == "is":
+                raise ValueError("importance sampling applies to Renyi orders; use --method mc for shannon")
+            return mc_shannon(logpdf, sampler, n, seed, threads)
+        alpha = float(alpha)
+        _check_order(alpha)
+        _refuse_infinite_variance(mixture, alpha, method)
+        if method == "is":
+            return is_renyi(logpdf, proposal_logpdf, sampler, alpha, n, seed, threads)
+        return mc_renyi(logpdf, sampler, alpha, n, seed, threads)
+
+    return (estimate(alpha) for alpha in alphas)
+
+
+def _refuse_infinite_variance(mixture: MixtureParams, alpha: float, method: str) -> None:
+    """Raise ValueError at an order whose Monte Carlo estimate has infinite variance.
+
+    The mixture's density falls like |x|^-(v+d) for the smallest dof v among
+    its components of positive weight (one of weight 0 is never sampled or
+    evaluated), and the sampled law's like |x|^-(v_q+d): v_q = v for plain
+    sampling, and max(1, v/2) for ``fat_proposal``. The alpha-power estimate
+    then has finite variance, and a meaningful standard error, only for
+    2 alpha (v + d) > v_q + 2d.
+    """
+    v, d = min(c.dof for _, c in _live(mixture)), mixture.dim
+    v_q = max(1.0, v / 2.0) if method == "is" else v
+    threshold = (v_q + 2 * d) / (2 * (v + d))
+    if alpha <= threshold:
+        name = "importance sampling" if method == "is" else "plain Monte Carlo"
+        raise ValueError(
+            f"{name} cannot estimate the Renyi entropy of order {alpha:g}: with smallest dof {v:g} "
+            f"its variance is infinite at orders <= {threshold:.6g}"
+        )

@@ -17,13 +17,15 @@ def test_layer_bench_writes_its_keys(tmp_path):
     assert set(doc["env"]) == {"nproc", "pinned_env", "machine", "python", "numpy", "scipy", "skewtmix"}
     assert set(doc["layers"]) == {"student_t_cdf v=5.3", "student_t_cdf v=100", "mixture_logpdf d1_m4 blocked",
                                   "mixture_logpdf d2_m5 blocked", "mixture_logpdf d3_m3 blocked",
-                                  "sample_mixture d2_m3", "skewt_shannon cold",
+                                  "sample_mixture d2_m3", "mc_shannon d2_m3 threads=1",
+                                  "mc_shannon d2_m3 threads=2", "skewt_shannon cold",
                                   "skewt_renyi cold alpha=2", "skewt_renyi cold alpha=30",
                                   "renyi_bounds d1_m4 alpha=30 cold", "renyi_bounds d1_m4 alpha=30 warm",
                                   "shannon_bounds d1_m4 exact cold", "shannon_bounds d1_m4 exact warm"}
     for layer in doc["layers"].values():
         assert set(layer) == {"median_s", "iqr_s", "repeats", "size", "checksum"}
     assert set(doc["end_to_end"]) == {"import skewtmix.cli", "reproduce --table 1", "reproduce --table 2",
-                                      "reproduce --table 3"}
+                                      "reproduce --table 3", "bounds d2_m3 --oracle"}
+    assert doc["end_to_end"]["bounds d2_m3 --oracle"]["size"] == 3
     for run in doc["end_to_end"].values():
         assert set(run) == {"median_s", "iqr_s", "repeats", "size", "checksum", "exit_code"}

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import skewtmix
-from skewtmix import cli, tables
+from skewtmix import cli, mc, tables
 from skewtmix.bounds import renyi_bounds, shannon_bounds
 from skewtmix.cli import build_parser, main
 from skewtmix.config import ConfigError, load_config, parse_config
@@ -225,15 +225,16 @@ class TestEntropyCommand:
         assert code == 1
         assert "bounds" in err
 
+    # an order that is not finite and positive gets the order error, not the variance refusal
     @pytest.mark.parametrize("method", ["mc", "is"])
-    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "0", "-2"])
     def test_non_finite_alpha_exits_one(self, tmp_path, capsys, method, alpha):
         cfg = write_config(tmp_path, CASE1)
-        code, out, err = run_cli(capsys, "entropy", cfg, "--alpha", alpha, "--method", method,
+        code, out, err = run_cli(capsys, "entropy", cfg, f"--alpha={alpha}", "--method", method,
                                  "--samples", "1000")
         assert code == 1
         assert out == ""
-        assert "alpha must be finite" in err
+        assert err == "error: alpha must be finite, positive and different from 1, the Shannon limit\n"
 
     def test_integer_literal_past_the_digit_limit_exits_one(self, tmp_path, capsys):
         code, out, err = run_cli(capsys, "entropy", write_long_literal(tmp_path))
@@ -276,12 +277,13 @@ class TestEntropyCommand:
         assert err.endswith("with smallest dof 1 its variance is infinite at orders <= 0.75\n")
 
     def test_a_component_of_weight_zero_sets_no_order_refused(self, tmp_path, capsys):
-        # a weight-0 component is never sampled or evaluated, so its dof 0.1 refuses nothing
+        # a weight-0 component is never sampled or evaluated, so its dof 0.1 refuses nothing, and the
+        # exact entropies are those of the one component of positive weight
         one = write_config(tmp_path, CASE1, "one.json")
         padded = write_config(tmp_path, {"components": [CASE1["components"][0],
                                                         dict(MIX_M2["components"][1], dof=0.1)],
                                          "weights": [1.0, 0.0]}, "padded.json")
-        for method, alpha in (("mc", "0.9"), ("is", "1.2")):
+        for method, alpha in (("mc", "0.9"), ("is", "1.2"), ("exact", "shannon"), ("exact", "2")):
             opts = ("--alpha", alpha, "--method", method, "--samples", "20000", "--seed", "4", "--out", "json")
             code, out, err = run_cli(capsys, "entropy", padded, *opts)
             assert code == 0, err
@@ -368,8 +370,8 @@ class TestBoundsCommand:
         # three orders draw each chunk once, and each row equals the row of its one-order run
         cfg = write_config(tmp_path, MIX_M2)
         draws = []
-        real = cli.sample_mixture
-        monkeypatch.setattr(cli, "sample_mixture",
+        real = mc.sample_mixture
+        monkeypatch.setattr(mc, "sample_mixture",
                             lambda m, n, s, chunk: draws.append((n, chunk)) or real(m, n, s, chunk=chunk))
         argv = ("bounds", cfg, "--oracle", "--samples", "20000", "--seed", "5", "--out", "json")
         code, out, _ = run_cli(capsys, *argv, "--alpha", "shannon", "--alpha", "2", "--alpha", "5")

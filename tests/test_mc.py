@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from skewtmix import linalg, specfn, tables
+from skewtmix import linalg, mc, specfn, tables
 from skewtmix.distributions import (
     CHUNK_SIZE,
     mixture_logpdf,
@@ -18,6 +18,7 @@ from skewtmix.mc import (
     BLOCK_SIZE,
     LowEffectiveSampleSize,
     _log_densities,
+    estimates,
     fat_proposal,
     is_renyi,
     mc_renyi,
@@ -428,3 +429,40 @@ class TestSharedEvaluation:
             with pytest.raises(ArithmeticError, match="draw index 5"):
                 mc_renyi(broken_logpdf, sampler, 2.0, 1000, 4)
         assert draws == [(1000, 4), (1000, 4)]
+
+
+class TestEstimates:
+    def test_equal_to_the_estimators_on_their_own_closures(self, mix_d1_m2, monkeypatch):
+        # bit for bit, and each method draws every chunk once for all its orders
+        n, seed = CHUNK_SIZE + 1000, 17
+        draws = []
+        real = mc.sample_mixture
+        monkeypatch.setattr(mc, "sample_mixture",
+                            lambda m, k, s, chunk: draws.append(chunk) or real(m, k, s, chunk=chunk))
+        plain = list(estimates(mix_d1_m2, ["shannon", 2.0, 5.0], n, seed, 2))
+        assert sorted(draws) == [0, 1]
+        importance = list(estimates(mix_d1_m2, [2.0, 5.0], n, seed, 2, method="is"))
+        assert sorted(draws) == [0, 0, 1, 1]
+
+        proposal = fat_proposal(mix_d1_m2)
+        target = lambda x: mixture_logpdf(mix_d1_m2, x)  # noqa: E731
+        sampler = lambda k, s, c: sample_mixture(mix_d1_m2, k, s, chunk=c)  # noqa: E731
+        assert plain == [mc_shannon(target, sampler, n, seed, 2), mc_renyi(target, sampler, 2.0, n, seed, 2),
+                         mc_renyi(target, sampler, 5.0, n, seed, 2)]
+        calls = (lambda x: mixture_logpdf(proposal, x), lambda k, s, c: sample_mixture(proposal, k, s, chunk=c))
+        assert importance == [is_renyi(target, *calls, alpha, n, seed, 2) for alpha in (2.0, 5.0)]
+
+    def test_each_order_is_checked_when_its_estimate_is_asked_for(self, mix_d1_m2):
+        # an invalid order gets the order error, though the variance rule refuses it too
+        ests = estimates(mix_d1_m2, [2.0, -2.0], 1000, 1)
+        assert next(ests).method == "plain_mc"
+        with pytest.raises(ValueError, match="alpha must be finite, positive and different from 1"):
+            next(ests)
+        ests = estimates(mix_d1_m2, [2.0, 0.5], 1000, 1)
+        assert next(ests).method == "plain_mc"
+        with pytest.raises(ValueError, match="plain Monte Carlo cannot estimate the Renyi entropy of order 0.5"):
+            next(ests)
+        with pytest.raises(ValueError, match="importance sampling applies to Renyi orders"):
+            next(estimates(mix_d1_m2, ["shannon"], 1000, 1, method="is"))
+        with pytest.raises(ValueError, match="method must be 'mc' or 'is'"):
+            estimates(mix_d1_m2, [2.0], 1000, 1, method="exact")
