@@ -16,6 +16,9 @@ Layers:
   bundled mixtures d1_m4, d2_m5 and d3_m3, evaluated in ``mc.BLOCK_SIZE``
   blocks on one thread, as the Monte Carlo oracle's workers do; the draws
   are made once, outside the timings;
+* ``skewt_logpdf`` alone, the same way, on ``--points`` draws of d2_m3's
+  third component (delta (2.6, 1), dof 4), many of whose rows fall past
+  the reach of the t CDF table;
 * ``sample_mixture`` of ``--points`` draws of d2_m3 in one call;
 * ``mc_shannon`` on ``--points`` draws of d2_m3 at 1 and 2 worker
   threads, with closures over ``mixture_logpdf`` and ``sample_mixture``
@@ -82,11 +85,14 @@ sys.path.insert(0, str(SRC))
 
 import skewtmix  # noqa: E402
 from skewtmix import bounds, entropy, mc, specfn, tables  # noqa: E402
-from skewtmix.distributions import SkewTParams, mixture_logpdf, sample_mixture  # noqa: E402
+from skewtmix.distributions import (  # noqa: E402
+    SkewTParams, mixture_logpdf, sample_mixture, sample_skewt, skewt_logpdf,
+)
 
 CHECKSUM_DIGITS = 10
 T_CDF_DOFS = (5.3, 100.0)
 LOGPDF_MIXTURES = ("d1_m4", "d2_m5", "d3_m3")
+LOGPDF_COMPONENT = ("d2_m3", 2)  # a bundled mixture and the index of one of its components
 SAMPLE_MIXTURE = "d2_m3"
 MC_MIXTURE = "d2_m3"
 MC_THREADS = (1, 2)
@@ -124,17 +130,26 @@ def t_cdf_layer(v: float, points: int, repeats: int) -> dict:
     return entry(times, out, points)
 
 
-def mixture_logpdf_layer(mixture_id: str, points: int, repeats: int) -> dict:
-    mix = tables.builtin_mixture(mixture_id)
-    x = sample_mixture(mix, points, 1)
-    mixture_logpdf(mix, x[:10])  # builds the t CDF tables outside the timings
-    out, times = np.empty(points), []
+def blocked_layer(logpdf, x: np.ndarray, repeats: int) -> dict:
+    """logpdf on the draws x in mc.BLOCK_SIZE blocks on one thread, as the oracle's workers call it."""
+    logpdf(x[:10])  # builds the t CDF tables outside the timings
+    out, times = np.empty(len(x)), []
     for _ in range(repeats):
         start = time.perf_counter()
-        for b in range(0, points, mc.BLOCK_SIZE):
-            out[b:b + mc.BLOCK_SIZE] = mixture_logpdf(mix, x[b:b + mc.BLOCK_SIZE])
+        for b in range(0, len(x), mc.BLOCK_SIZE):
+            out[b:b + mc.BLOCK_SIZE] = logpdf(x[b:b + mc.BLOCK_SIZE])
         times.append(time.perf_counter() - start)
-    return entry(times, out, points)
+    return entry(times, out, len(x))
+
+
+def mixture_logpdf_layer(mixture_id: str, points: int, repeats: int) -> dict:
+    mix = tables.builtin_mixture(mixture_id)
+    return blocked_layer(lambda x: mixture_logpdf(mix, x), sample_mixture(mix, points, 1), repeats)
+
+
+def skewt_logpdf_layer(mixture_id: str, index: int, points: int, repeats: int) -> dict:
+    comp = tables.builtin_mixture(mixture_id).components[index]
+    return blocked_layer(lambda x: skewt_logpdf(comp, x), sample_skewt(comp, points, 1), repeats)
 
 
 def sample_mixture_layer(mixture_id: str, points: int, repeats: int) -> dict:
@@ -245,6 +260,8 @@ def run(points: int, count: int, repeats: int) -> dict:
     layers = {f"student_t_cdf v={v:g}": t_cdf_layer(v, points, repeats) for v in T_CDF_DOFS}
     for mixture_id in LOGPDF_MIXTURES:
         layers[f"mixture_logpdf {mixture_id} blocked"] = mixture_logpdf_layer(mixture_id, points, repeats)
+    mixture_id, index = LOGPDF_COMPONENT
+    layers[f"skewt_logpdf {mixture_id}[{index}] blocked"] = skewt_logpdf_layer(mixture_id, index, points, repeats)
     layers[f"sample_mixture {SAMPLE_MIXTURE}"] = sample_mixture_layer(SAMPLE_MIXTURE, points, repeats)
     for threads in MC_THREADS:
         layers[f"mc_shannon {MC_MIXTURE} threads={threads}"] = mc_shannon_layer(MC_MIXTURE, points, threads, repeats)

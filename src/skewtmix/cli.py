@@ -1,17 +1,20 @@
 """Command line front end: entropy, bounds, and reproduce subcommands.
 
-Every Monte Carlo value comes from ``mc.estimates``, which owns its rules.
+Every Monte Carlo value comes from ``mc.estimates``, at the config's
+``seed`` and ``samples`` (``entropy``, ``bounds``) or at DEFAULT_SEED and
+DEFAULT_SAMPLES (``reproduce``); ``--threads`` and ``--out`` change only
+speed and format.
 
 Exit codes: 0 on success; 1 on validation or domain errors, among them
-``--threads`` below 1, ``--samples`` below 2 and ``--seed`` outside
-[0, 2**64) (the config file's rules), and a Monte Carlo Renyi order that
-is not finite and positive or at which the estimate has infinite variance,
-judged by the smallest dof among the components of positive weight; 2
-when a reproduction run's pass rate over scored cells, at the fixed
-``tables.DEFAULT_TOLERANCE``, drops below the threshold, or on an
-argparse usage error such as a ``--threads`` that is neither an integer
-nor 'auto', a ``--table`` other than 1, 2 or 3, or an unknown option
-(``--rows`` and ``--out-file`` among them). Reports go to stdout; select
+``--threads`` below 1, a config's ``samples`` below 2 or ``seed`` outside
+[0, 2**64), and a Monte Carlo Renyi order that is not finite and positive
+or at which the estimate has infinite variance, judged by the smallest
+dof among the components of positive weight; 2 when a reproduction run's
+pass rate over scored cells, at the fixed ``tables.DEFAULT_TOLERANCE``,
+drops below the threshold, or on an argparse usage error such as a
+``--threads`` that is neither an integer nor 'auto', a ``--table`` other
+than 1, 2 or 3, or an unknown option (``--seed``, ``--samples``,
+``--rows`` and ``--out-file`` among them). Reports go to stdout; select
 rows from ``--out json``.
 """
 
@@ -24,7 +27,7 @@ import sys
 from . import tables
 from .bounds import renyi_bounds, shannon_bounds
 from .config import DEFAULT_SAMPLES, DEFAULT_SEED, ConfigError, load_config
-from .distributions import _check_u64, _live
+from .distributions import _live
 from .entropy import skewt_renyi, skewt_shannon
 from .mc import estimates
 from .reports import ReportRow, rows_to_csv, rows_to_json
@@ -43,16 +46,10 @@ def _threads_arg(raw: str) -> int:
         raise argparse.ArgumentTypeError(f"--threads takes a positive integer or 'auto', got {raw!r}") from None
 
 
-def _run_options(args, seed: int, samples: int):
-    """Checked seed, samples and threads; --seed and --samples, where given, override the first two."""
-    seed = seed if args.seed is None else args.seed
-    samples = samples if args.samples is None else args.samples
-    _check_u64("--seed", seed)
-    if samples < 2:
-        raise ValueError(f"--samples must be an integer >= 2, got {samples}")
+def _threads(args) -> int:
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1 or 'auto', got {args.threads}")
-    return seed, samples, args.threads
+    return args.threads
 
 
 def _emit(rows, fmt: str) -> None:
@@ -69,11 +66,11 @@ def _parse_alpha(raw: str):
 
 
 def _load_run(args):
-    """Config, seed, samples, threads and orders of a config command."""
+    """Config, threads and orders of a config command."""
     cfg = load_config(args.config)
-    seed, samples, threads = _run_options(args, cfg.seed, cfg.samples)
+    threads = _threads(args)
     alphas = [_parse_alpha(a) for a in (args.alpha or ["shannon"])]
-    return cfg, seed, samples, threads, alphas
+    return cfg, threads, alphas
 
 
 def _row(case, components, alpha, **cells) -> ReportRow:
@@ -105,7 +102,7 @@ def _bounds_row(case, mixture, report, est, **cells) -> ReportRow:
 
 
 def _cmd_entropy(args) -> int:
-    cfg, seed, samples, threads, alphas = _load_run(args)
+    cfg, threads, alphas = _load_run(args)
     mixture = cfg.mixture
     if args.method == "exact":
         live = _live(mixture)
@@ -114,7 +111,7 @@ def _cmd_entropy(args) -> int:
         rows = [_row(CONFIG_LABEL, mixture.components, alpha, approx=_entropy(live[0][1], alpha))
                 for alpha in alphas]
     else:
-        ests = estimates(mixture, alphas, samples, seed, threads, args.method)
+        ests = estimates(mixture, alphas, cfg.samples, cfg.seed, threads, args.method)
         rows = [_row(CONFIG_LABEL, mixture.components, alpha,
                      approx=est.value, oracle=est.value, oracle_se=est.std_error)
                 for alpha, est in zip(alphas, ests)]
@@ -123,8 +120,8 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    cfg, seed, samples, threads, alphas = _load_run(args)
-    ests = estimates(cfg.mixture, alphas, samples, seed, threads)
+    cfg, threads, alphas = _load_run(args)
+    ests = estimates(cfg.mixture, alphas, cfg.samples, cfg.seed, threads)
     rows = []
     for alpha in alphas:
         report = _bounds(cfg.mixture, alpha, args.convention)
@@ -176,13 +173,13 @@ def _reference_rows(case, ms, orders, convention, reference):
     return rows
 
 
-def _property_rows(case, shapes, orders, seed, samples, threads):
+def _property_rows(case, shapes, orders, threads):
     """Rows for d >= 2 mixtures: exact bounds must be ordered and hold the oracle within 3 SE."""
     rows = []
     for d, ms in shapes:
         for m in ms:
             mixture = tables.builtin_mixture(f"d{d}_m{m}")
-            ests = estimates(mixture, orders, samples, seed, threads)
+            ests = estimates(mixture, orders, DEFAULT_SAMPLES, DEFAULT_SEED, threads)
             for alpha in orders:
                 report = _bounds(mixture, alpha, "exact")
                 est = next(ests)
@@ -195,18 +192,18 @@ def _property_rows(case, shapes, orders, seed, samples, threads):
 
 
 def _cmd_reproduce(args) -> int:
-    seed, samples, threads = _run_options(args, DEFAULT_SEED, DEFAULT_SAMPLES)
+    threads = _threads(args)
     if args.table == 1:
         rows = _reproduce_table1()
     elif args.table == 2:
         # the fourth reference entry, the half-width, is not scored for table 2
         rows = _reference_rows("t2", (2, 3, 4, 5), ("shannon",), "paper",
                                lambda m, _: tables.REFERENCE_TABLE2_D1[m][:3])
-        rows += _property_rows("t2", ((2, (2, 3, 4, 5)), (3, (2, 3))), ("shannon",), seed, samples, threads)
+        rows += _property_rows("t2", ((2, (2, 3, 4, 5)), (3, (2, 3))), ("shannon",), threads)
     else:
         rows = _reference_rows("t3", (2, 3, 4), tables.TABLE3_ALPHAS, "listed",
                                lambda m, a: tables.REFERENCE_TABLE3_D1[(m, a)])
-        rows += _property_rows("t3", ((2, (2, 3)), (3, (2,))), (2, 5), seed, samples, threads)
+        rows += _property_rows("t3", ((2, (2, 3)), (3, (2,))), (2, 5), threads)
     _emit(rows, args.out)
     scored = [r for r in rows if r.passed is not None]
     passed = sum(1 for r in scored if r.passed)
@@ -229,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, needs_config: bool):
         if needs_config:
             p.add_argument("config", help="path to a JSON model config")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--samples", type=int)
         p.add_argument("--threads", default="auto", type=_threads_arg,
                        help="worker threads (results are thread-count invariant)")
         p.add_argument("--out", choices=("csv", "json"), default="csv")

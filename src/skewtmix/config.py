@@ -11,8 +11,10 @@ A config document looks like
       "samples": 1000000
     }
 
-``weights`` may be omitted for a single component. Validation errors name
-the JSON path of the offending entry.
+``weights`` may be omitted for a single component. ``seed`` and
+``samples`` (defaults DEFAULT_SEED and DEFAULT_SAMPLES) are the only way
+to set the Monte Carlo seed and sample count of ``entropy`` and
+``bounds``. Validation errors name the JSON path of the offending entry.
 """
 
 from __future__ import annotations

@@ -221,7 +221,7 @@ def estimates(mixture: MixtureParams, alphas, n: int, seed: int, threads: int = 
     def estimate(alpha):
         if alpha == "shannon":
             if method == "is":
-                raise ValueError("importance sampling applies to Renyi orders; use --method mc for shannon")
+                raise ValueError("importance sampling applies to Renyi orders; use method 'mc' for shannon")
             return mc_shannon(logpdf, sampler, n, seed, threads)
         alpha = float(alpha)
         _check_order(alpha)

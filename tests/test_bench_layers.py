@@ -17,6 +17,7 @@ def test_layer_bench_writes_its_keys(tmp_path):
     assert set(doc["env"]) == {"nproc", "pinned_env", "machine", "python", "numpy", "scipy", "skewtmix"}
     assert set(doc["layers"]) == {"student_t_cdf v=5.3", "student_t_cdf v=100", "mixture_logpdf d1_m4 blocked",
                                   "mixture_logpdf d2_m5 blocked", "mixture_logpdf d3_m3 blocked",
+                                  "skewt_logpdf d2_m3[2] blocked",
                                   "sample_mixture d2_m3", "mc_shannon d2_m3 threads=1",
                                   "mc_shannon d2_m3 threads=2", "skewt_shannon cold",
                                   "skewt_renyi cold alpha=2", "skewt_renyi cold alpha=30",

@@ -13,8 +13,11 @@ Three families of mixtures have a deterministic truth:
   the real line, split at the component locations; the bounds may miss by the error ``quad``
   reports plus 1e-9.
 
-The d = 3 Gaussian-limit closed form also calibrates ``mc.estimates``: over 40 seeds its spread
-matches the reported standard error and its mean sits within 3 SE/sqrt(40) of the truth.
+Two truths also calibrate ``mc.estimates``: over 40 seeds its spread matches the reported standard
+error and its mean sits within 3 SE/sqrt(40) of the truth. The d = 3 Gaussian-limit closed form
+checks plain sampling and the importance-sampling reduction; a mixture of two identical d = 3
+skew-t components at dof 5, whose truth is the component's own entropy, checks importance sampling
+from the dof-2.5 proposal, a real change of tails.
 """
 
 import functools
@@ -171,15 +174,29 @@ def test_paper_shannon_upper_lies_below_the_truth(m, truth):
     assert_brackets(shannon_bounds(mix, convention="exact"), value, error + 1e-9)
 
 
-# Over 40 seeds the spread of the estimates matches their median reported SE within a factor
-# 0.6-1.6, and their mean lies within 3 SE/sqrt(40) of the closed form. No per-seed bound: a
-# seed in 20 may lie past 3 SE. At dof 1e6 the proposal's dof 5e5 is all but the target's, so
-# "is" here checks the importance-sampling reduction, not a change of law.
-@pytest.mark.parametrize("method, alpha", [("mc", 2), ("mc", 3), ("is", 2)])
-def test_estimates_calibrated_on_a_d3_gaussian_limit_mixture(method, alpha):
-    mix, gaussian = gaussian_limit_mixture(np.random.default_rng(3), 3, 3)
+def assert_calibrated(mix, method, alpha, truth):
+    """Over 40 seeds the spread of the estimates matches their median reported SE within a factor
+    0.6-1.6, and their mean lies within 3 SE/sqrt(40) of the truth. No per-seed bound: a seed in 20
+    may lie past 3 SE."""
     ests = [next(estimates(mix, [alpha], 20_000, seed, method=method)) for seed in range(1, 41)]
     values = np.array([e.value for e in ests])
     se = float(np.median([e.std_error for e in ests]))
     assert 0.6 <= np.std(values, ddof=1) / se <= 1.6
-    assert abs(values.mean() - gaussian_renyi(*gaussian, alpha)) <= 3 * se / math.sqrt(len(ests))
+    assert abs(values.mean() - truth) <= 3 * se / math.sqrt(len(ests))
+
+
+# Plain sampling at two orders, and the importance-sampling reduction: at dof 1e6 the proposal's
+# dof 5e5 is all but the target's, so "is" here samples all but the target itself: no change of law.
+@pytest.mark.parametrize("method, alpha", [("mc", 2), ("mc", 3), ("is", 2)])
+def test_estimates_calibrated_on_a_d3_gaussian_limit_mixture(method, alpha):
+    mix, gaussian = gaussian_limit_mixture(np.random.default_rng(3), 3, 3)
+    assert_calibrated(mix, method, alpha, gaussian_renyi(*gaussian, alpha))
+
+
+# Importance sampling across a change of tails: the target's dof is 5, the proposal's 2.5. The two
+# components are one law, so the mixture's Renyi entropy is the component's, by quadrature.
+@pytest.mark.parametrize("alpha", [2, 3])
+def test_importance_sampling_calibrated_on_a_d3_skewt_mixture(alpha):
+    comp = make_component([0.5, -1.0, 0.0], [[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.5]],
+                          [1.0, -0.5, 0.3], 5.0)
+    assert_calibrated(make_mixture([comp, comp], [0.4, 0.6]), "is", alpha, skewt_renyi(comp, alpha))

@@ -16,7 +16,7 @@ import skewtmix
 from skewtmix import cli, mc, tables
 from skewtmix.bounds import renyi_bounds, shannon_bounds
 from skewtmix.cli import build_parser, main
-from skewtmix.config import ConfigError, load_config, parse_config
+from skewtmix.config import DEFAULT_SAMPLES, DEFAULT_SEED, ConfigError, load_config, parse_config
 from skewtmix.distributions import CHUNK_SIZE, mixture_logpdf, sample_mixture
 from skewtmix.entropy import skewt_renyi
 from skewtmix.linalg import NotPositiveDefiniteError
@@ -36,9 +36,11 @@ MIX_M2 = {
 }
 
 
-def write_config(tmp_path, doc, name="model.json"):
+def write_config(tmp_path, doc, name="model.json", seed=None, samples=None):
+    """Path of a JSON config of doc, with its seed and samples set where given."""
+    settings = {k: v for k, v in (("seed", seed), ("samples", samples)) if v is not None}
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps({**doc, **settings}))
     return str(path)
 
 
@@ -163,9 +165,8 @@ class TestEntropyCommand:
         assert abs(float(row["approx"]) - 1.9590) <= 0.005
 
     def test_mc_deterministic_bytes(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, CASE1)
-        argv = ("entropy", cfg, "--alpha", "2", "--method", "mc",
-                "--seed", "42", "--samples", "50000")
+        cfg = write_config(tmp_path, CASE1, seed=42, samples=50000)
+        argv = ("entropy", cfg, "--alpha", "2", "--method", "mc")
         code1, out1, _ = run_cli(capsys, *argv)
         code2, out2, _ = run_cli(capsys, *argv)
         assert code1 == code2 == 0
@@ -194,8 +195,9 @@ class TestEntropyCommand:
 
     @pytest.mark.parametrize("delta", [1.0, 0.0])
     def test_underflowing_dof_mc_exits_one(self, tmp_path, capsys, delta):
-        cfg = write_config(tmp_path, {"components": [{"mu": [0.0], "scale": [[1.0]], "delta": [delta], "dof": 0.02}]})
-        code, out, err = run_cli(capsys, "entropy", cfg, "--method", "mc", "--samples", "20000", "--seed", "1")
+        cfg = write_config(tmp_path, {"components": [{"mu": [0.0], "scale": [[1.0]], "delta": [delta], "dof": 0.02}]},
+                           seed=1, samples=20000)
+        code, out, err = run_cli(capsys, "entropy", cfg, "--method", "mc")
         assert (code, out) == (1, "")
         assert err == "error: cannot sample at dof 0.02: a Gamma(v/2, 2/v) mixing draw underflowed to 0\n"
 
@@ -213,9 +215,8 @@ class TestEntropyCommand:
         with pytest.raises(error) as raised:
             mc_shannon(*oracle_calls(parse_config({"components": [component]}).mixture), n, 1, 2)
         assert type(raised.value) is error and str(raised.value) == message
-        cfg = write_config(tmp_path, {"components": [component]})
-        code, out, err = run_cli(capsys, "entropy", cfg, "--method", "mc", "--samples", str(n), "--seed", "1",
-                                 "--threads", "2")
+        cfg = write_config(tmp_path, {"components": [component]}, seed=1, samples=n)
+        code, out, err = run_cli(capsys, "entropy", cfg, "--method", "mc", "--threads", "2")
         assert (code, out, err) == (1, "", f"error: {message}\n")
         assert _log_densities.cache_info().currsize == 0
 
@@ -229,9 +230,8 @@ class TestEntropyCommand:
     @pytest.mark.parametrize("method", ["mc", "is"])
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "0", "-2"])
     def test_non_finite_alpha_exits_one(self, tmp_path, capsys, method, alpha):
-        cfg = write_config(tmp_path, CASE1)
-        code, out, err = run_cli(capsys, "entropy", cfg, f"--alpha={alpha}", "--method", method,
-                                 "--samples", "1000")
+        cfg = write_config(tmp_path, CASE1, samples=1000)
+        code, out, err = run_cli(capsys, "entropy", cfg, f"--alpha={alpha}", "--method", method)
         assert code == 1
         assert out == ""
         assert err == "error: alpha must be finite, positive and different from 1, the Shannon limit\n"
@@ -242,8 +242,8 @@ class TestEntropyCommand:
         assert err.startswith("error: $: invalid JSON: ")
 
     def test_importance_sampling_needs_renyi_order(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, CASE1)
-        code, out, err = run_cli(capsys, "entropy", cfg, "--method", "is", "--samples", "1000")
+        cfg = write_config(tmp_path, CASE1, samples=1000)
+        code, out, err = run_cli(capsys, "entropy", cfg, "--method", "is")
         assert code == 1
         assert out == ""
         assert "importance sampling applies to Renyi orders" in err
@@ -257,56 +257,53 @@ class TestEntropyCommand:
         c = tables.single_case(1, 3.0)
         cfg = write_config(tmp_path, {"components": [
             {"mu": c.mu.tolist(), "scale": c.scale.entries.tolist(), "delta": c.delta.tolist(), "dof": c.dof},
-        ]})
+        ]}, seed=3, samples=20000)
         for alpha in ("0.3", f"{threshold:g}"):
-            code, out, err = run_cli(capsys, "entropy", cfg, "--alpha", alpha, "--method", method, "--samples", "1000")
+            code, out, err = run_cli(capsys, "entropy", cfg, "--alpha", alpha, "--method", method)
             assert (code, out) == (1, "")
             assert err == (f"error: {name} cannot estimate the Renyi entropy of order {alpha}: with smallest dof 3 "
                            f"its variance is infinite at orders <= {threshold:g}\n")
-        code, out, _ = run_cli(capsys, "entropy", cfg, "--alpha", "0.75", "--method", method,
-                               "--samples", "20000", "--seed", "3")
+        code, out, _ = run_cli(capsys, "entropy", cfg, "--alpha", "0.75", "--method", method)
         assert code == 0
         assert abs(float(parse_csv(out)[0]["approx"]) - skewt_renyi(c, 0.75)) <= 0.05
 
     def test_the_smallest_dof_sets_the_order_refused(self, tmp_path, capsys):
         doc = {"components": [dict(CASE1["components"][0], dof=10.0), dict(MIX_M2["components"][1], dof=1.0)],
                "weights": [0.5, 0.5]}
-        code, _, err = run_cli(capsys, "entropy", write_config(tmp_path, doc), "--alpha", "0.75",
-                               "--method", "mc", "--samples", "1000")
+        code, _, err = run_cli(capsys, "entropy", write_config(tmp_path, doc, samples=1000), "--alpha", "0.75",
+                               "--method", "mc")
         assert code == 1
         assert err.endswith("with smallest dof 1 its variance is infinite at orders <= 0.75\n")
 
     def test_a_component_of_weight_zero_sets_no_order_refused(self, tmp_path, capsys):
         # a weight-0 component is never sampled or evaluated, so its dof 0.1 refuses nothing, and the
         # exact entropies are those of the one component of positive weight
-        one = write_config(tmp_path, CASE1, "one.json")
+        one = write_config(tmp_path, CASE1, "one.json", seed=4, samples=20000)
         padded = write_config(tmp_path, {"components": [CASE1["components"][0],
                                                         dict(MIX_M2["components"][1], dof=0.1)],
-                                         "weights": [1.0, 0.0]}, "padded.json")
+                                         "weights": [1.0, 0.0]}, "padded.json", seed=4, samples=20000)
         for method, alpha in (("mc", "0.9"), ("is", "1.2"), ("exact", "shannon"), ("exact", "2")):
-            opts = ("--alpha", alpha, "--method", method, "--samples", "20000", "--seed", "4", "--out", "json")
+            opts = ("--alpha", alpha, "--method", method, "--out", "json")
             code, out, err = run_cli(capsys, "entropy", padded, *opts)
             assert code == 0, err
             code, expected, _ = run_cli(capsys, "entropy", one, *opts)
             assert code == 0
             assert [replace(r, m=1, dofs=(3.0,)) for r in rows_from_json(out)] == rows_from_json(expected)
-        code, out, err = run_cli(capsys, "entropy", padded, "--alpha", "0.5", "--method", "mc", "--samples", "1000")
+        code, out, err = run_cli(capsys, "entropy", padded, "--alpha", "0.5", "--method", "mc")
         assert (code, out) == (1, "")
         assert err.endswith("with smallest dof 3 its variance is infinite at orders <= 0.625\n")
 
     def test_importance_sampling_runs(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, CASE1)
-        code, out, _ = run_cli(capsys, "entropy", cfg, "--alpha", "2", "--method", "is",
-                               "--samples", "50000", "--seed", "5")
+        cfg = write_config(tmp_path, CASE1, seed=5, samples=50000)
+        code, out, _ = run_cli(capsys, "entropy", cfg, "--alpha", "2", "--method", "is")
         assert code == 0
         row = parse_csv(out)[0]
         assert abs(float(row["approx"]) - 1.6571) <= 0.05
 
     def test_importance_sampling_matches_library(self, tmp_path, capsys):
         mixture = parse_config(MIX_M2).mixture
-        cfg = write_config(tmp_path, MIX_M2)
-        code, out, _ = run_cli(capsys, "entropy", cfg, "--alpha", "2", "--method", "is",
-                               "--samples", "20000", "--seed", "5", "--threads", "1",
+        cfg = write_config(tmp_path, MIX_M2, seed=5, samples=20000)
+        code, out, _ = run_cli(capsys, "entropy", cfg, "--alpha", "2", "--method", "is", "--threads", "1",
                                "--out", "json")
         assert code == 0
         proposal = fat_proposal(mixture)
@@ -342,9 +339,8 @@ class TestBoundsCommand:
         assert "integer alpha required" in err
 
     def test_oracle_column(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, MIX_M2)
-        code, out, _ = run_cli(capsys, "bounds", cfg, "--alpha", "shannon",
-                               "--oracle", "--samples", "50000", "--convention", "exact")
+        cfg = write_config(tmp_path, MIX_M2, samples=50000)
+        code, out, _ = run_cli(capsys, "bounds", cfg, "--alpha", "shannon", "--oracle", "--convention", "exact")
         assert code == 0
         row = parse_csv(out)[0]
         oracle = float(row["oracle"])
@@ -352,10 +348,9 @@ class TestBoundsCommand:
 
     def test_oracle_matches_library(self, tmp_path, capsys):
         mixture = parse_config(MIX_M2).mixture
-        cfg = write_config(tmp_path, MIX_M2)
+        cfg = write_config(tmp_path, MIX_M2, seed=3, samples=20000)
         code, out, _ = run_cli(capsys, "bounds", cfg, "--alpha", "shannon", "--alpha", "2",
-                               "--oracle", "--convention", "exact", "--samples", "20000",
-                               "--seed", "3", "--threads", "1", "--out", "json")
+                               "--oracle", "--convention", "exact", "--threads", "1", "--out", "json")
         assert code == 0
         calls = oracle_calls(mixture)
         expected = [
@@ -368,12 +363,12 @@ class TestBoundsCommand:
 
     def test_orders_share_one_sample(self, tmp_path, capsys, monkeypatch):
         # three orders draw each chunk once, and each row equals the row of its one-order run
-        cfg = write_config(tmp_path, MIX_M2)
+        cfg = write_config(tmp_path, MIX_M2, seed=5, samples=20000)
         draws = []
         real = mc.sample_mixture
         monkeypatch.setattr(mc, "sample_mixture",
                             lambda m, n, s, chunk: draws.append((n, chunk)) or real(m, n, s, chunk=chunk))
-        argv = ("bounds", cfg, "--oracle", "--samples", "20000", "--seed", "5", "--out", "json")
+        argv = ("bounds", cfg, "--oracle", "--out", "json")
         code, out, _ = run_cli(capsys, *argv, "--alpha", "shannon", "--alpha", "2", "--alpha", "5")
         assert code == 0 and sum(n for n, _ in draws) == 20000
         assert sorted(chunk for _, chunk in draws) == list(range(-(-20000 // CHUNK_SIZE)))
@@ -419,24 +414,25 @@ class TestReproduceCommand:
         assert code == 0
 
     def test_table3_m2_approx_within_tolerance(self, capsys):
-        code, rows = reproduce_rows(capsys, "3", "--samples", "50000", case="t3_approx", m=2)
+        code, rows = reproduce_rows(capsys, "3", case="t3_approx", m=2)
         assert len(rows) == 8
         assert all(abs(r.approx - r.reference) <= 0.02 for r in rows)
 
     def test_table2_d3_property_mode(self, capsys):
-        code, rows = reproduce_rows(capsys, "2", "--samples", "50000", d=3, m=2)
+        code, rows = reproduce_rows(capsys, "2", d=3, m=2)
         assert len(rows) == 1
         assert all(r.case == "t2_property" for r in rows)
         assert all(r.reference is None for r in rows)
         assert all(r.oracle is not None for r in rows)
 
     def test_table3_property_rows_match_library(self, capsys):
-        code, rows = reproduce_rows(capsys, "3", "--samples", "131072", "--seed", "8", "--threads", "2")
+        # the oracle runs at the fixed default seed and sample count
+        code, rows = reproduce_rows(capsys, "3", "--threads", "2")
         mixture = tables.builtin_mixture("d3_m2")
         expected = []
         for alpha in (2, 5):
             report = renyi_bounds(mixture, alpha, convention="exact")
-            est = mc_renyi(*oracle_calls(mixture), float(alpha), 131072, 8, 2)
+            est = mc_renyi(*oracle_calls(mixture), float(alpha), DEFAULT_SAMPLES, DEFAULT_SEED, 2)
             inside = report.lower - 3 * est.std_error <= est.value <= report.upper + 3 * est.std_error
             passed = bool(inside and report.lower <= report.upper)
             expected.append(bounds_row("t3_property", mixture, report, est, passed=passed))
@@ -453,13 +449,16 @@ class TestReproduceCommand:
         assert "argument --table: invalid choice: 9" in capsys.readouterr().err
 
     def test_removed_options_are_usage_errors(self, tmp_path, capsys):
-        # rows are selected from --out json, and shell redirection writes a file
+        # rows are selected from --out json, shell redirection writes a file, and the seed and sample
+        # count are a config's seed and samples (reproduce runs at the defaults)
         cfg = write_config(tmp_path, MIX_M2)
         target = tmp_path / "report.txt"
+        runs = (["entropy", cfg, "--method", "mc"], ["bounds", cfg, "--oracle"], ["reproduce", "--table", "2"])
         for argv in (["reproduce", "--table", "1", "--rows", "d=1"],
                      ["reproduce", "--table", "1", "--out-file", str(target)],
                      ["entropy", cfg, "--out-file", str(target)],
-                     ["bounds", cfg, "--out-file", str(target)]):
+                     ["bounds", cfg, "--out-file", str(target)],
+                     *[run + option for run in runs for option in (["--seed", "1"], ["--samples", "10"])]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
@@ -473,11 +472,10 @@ class TestReproduceCommand:
 ], ids=["bounds-oracle", "entropy-is"])
 def test_output_thread_count_invariant(tmp_path, capsys, argv):
     # two sampler chunks of draws, so --threads 2 evaluates the log densities in parallel
-    cfg = write_config(tmp_path, MIX_M2)
+    cfg = write_config(tmp_path, MIX_M2, seed=9, samples=2 * CHUNK_SIZE)
     outs = []
     for threads in ("1", "2"):
-        code, out, _ = run_cli(capsys, argv[0], cfg, *argv[1:], "--samples", str(2 * CHUNK_SIZE),
-                               "--seed", "9", "--threads", threads, "--out", "json")
+        code, out, _ = run_cli(capsys, argv[0], cfg, *argv[1:], "--threads", threads, "--out", "json")
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
@@ -490,13 +488,12 @@ def test_output_independent_of_blas_threads(tmp_path):
         "components": [{"mu": c.mu.tolist(), "scale": c.scale.entries.tolist(), "delta": c.delta.tolist(),
                         "dof": c.dof} for c in mix.components],
         "weights": mix.weights.tolist(),
-    })
+    }, samples=140000)
     src = str(Path(skewtmix.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("OPENBLAS_NUM_THREADS", None)
     argv = [sys.executable, "-c", "import sys; from skewtmix.cli import main; sys.exit(main(sys.argv[1:]))",
-            "bounds", cfg, "--oracle", "--alpha", "shannon", "--alpha", "2", "--threads", "2",
-            "--samples", "140000", "--out", "json"]
+            "bounds", cfg, "--oracle", "--alpha", "shannon", "--alpha", "2", "--threads", "2", "--out", "json"]
     outs = []
     for blas in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
         proc = subprocess.run(argv, capture_output=True, text=True, env={**env, **blas}, timeout=300)
@@ -511,8 +508,8 @@ def test_cli_does_not_import_scipy_linalg(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = ("import sys, skewtmix, skewtmix.cli; code = skewtmix.cli.main(sys.argv[1:]); "
               "print('scipy.linalg' in sys.modules, file=sys.stderr); sys.exit(code)")
-    argv = [sys.executable, "-c", script, "bounds", write_config(tmp_path, MIX_M2), "--oracle",
-            "--samples", str(2 * CHUNK_SIZE), "--threads", "2"]
+    argv = [sys.executable, "-c", script, "bounds", write_config(tmp_path, MIX_M2, samples=2 * CHUNK_SIZE),
+            "--oracle", "--threads", "2"]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == "False"
@@ -521,47 +518,42 @@ def test_cli_does_not_import_scipy_linalg(tmp_path):
 @pytest.mark.parametrize("threads", ["0", "-3"])
 @pytest.mark.parametrize("command", ["entropy", "bounds", "reproduce"])
 def test_threads_below_one_exits_one(tmp_path, capsys, command, threads):
-    cfg = write_config(tmp_path, MIX_M2)
+    cfg = write_config(tmp_path, MIX_M2, samples=1000)
     argv = {
         "entropy": ["entropy", cfg, "--method", "mc"],
         "bounds": ["bounds", cfg, "--oracle"],
         "reproduce": ["reproduce", "--table", "2"],
     }[command]
-    code, out, err = run_cli(capsys, *argv, "--samples", "1000", "--threads", threads)
+    code, out, err = run_cli(capsys, *argv, "--threads", threads)
     assert code == 1
     assert out == ""
     assert "--threads must be at least 1" in err
 
 
-@pytest.mark.parametrize("samples", ["0", "-5", "1"])
-@pytest.mark.parametrize("command", ["entropy-mc", "entropy-is", "bounds", "reproduce"])
+# reproduce reads no config: its seed and sample count are fixed, and the flags are usage errors
+CONFIG_RUNS = {
+    "entropy-mc": ["entropy", "--method", "mc"],
+    "entropy-is": ["entropy", "--method", "is", "--alpha", "2"],
+    "bounds": ["bounds", "--oracle", "--alpha", "2"],
+}
+
+
+@pytest.mark.parametrize("samples", [0, -5, 1])
+@pytest.mark.parametrize("command", ["entropy-mc", "entropy-is", "bounds"])
 def test_samples_below_two_exits_one(tmp_path, capsys, command, samples):
-    cfg = write_config(tmp_path, MIX_M2)
-    argv = {
-        "entropy-mc": ["entropy", cfg, "--method", "mc"],
-        "entropy-is": ["entropy", cfg, "--method", "is", "--alpha", "2"],
-        "bounds": ["bounds", cfg, "--oracle", "--alpha", "2"],
-        "reproduce": ["reproduce", "--table", "2"],
-    }[command]
-    code, out, err = run_cli(capsys, *argv, "--samples", samples)
-    assert code == 1
-    assert out == ""
-    assert f"--samples must be an integer >= 2, got {samples}" in err
+    cfg = write_config(tmp_path, MIX_M2, samples=samples)
+    code, out, err = run_cli(capsys, CONFIG_RUNS[command][0], cfg, *CONFIG_RUNS[command][1:])
+    assert (code, out) == (1, "")
+    assert err == f"error: samples: expected an integer >= 2, got {samples}\n"
 
 
-@pytest.mark.parametrize("seed", ["-1", str(2**64)])
-@pytest.mark.parametrize("command", ["entropy-mc", "bounds", "reproduce"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", ["entropy-mc", "bounds"])
 def test_seed_outside_64_bits_exits_one(tmp_path, capsys, command, seed):
-    cfg = write_config(tmp_path, MIX_M2)
-    argv = {
-        "entropy-mc": ["entropy", cfg, "--method", "mc"],
-        "bounds": ["bounds", cfg, "--oracle"],
-        "reproduce": ["reproduce", "--table", "2"],
-    }[command]
-    code, out, err = run_cli(capsys, *argv, "--samples", "1000", "--seed", seed)
-    assert code == 1
-    assert out == ""
-    assert f"--seed must be an integer in [0, 2**64), got {seed}" in err
+    cfg = write_config(tmp_path, MIX_M2, seed=seed, samples=1000)
+    code, out, err = run_cli(capsys, CONFIG_RUNS[command][0], cfg, *CONFIG_RUNS[command][1:])
+    assert (code, out) == (1, "")
+    assert err == f"error: seed: expected an integer in [0, 2**64), got {seed}\n"
 
 
 def test_threads_not_an_integer_is_a_usage_error(capsys):
