@@ -448,12 +448,23 @@ class TestReproduceCommand:
         assert exc.value.code == 2
         assert "argument --table: invalid choice: 9" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, value", [
+        ("--samples", -5), ("--samples", 0), ("--samples", 1), ("--seed", -1), ("--seed", 2**64),
+    ])
+    def test_seed_and_samples_are_usage_errors(self, capsys, option, value):
+        # reproduce runs at the default seed and sample count: values the flags once rejected
+        # with exit 1 now fail to parse at all
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "--table", "2", option, str(value)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+
     def test_removed_options_are_usage_errors(self, tmp_path, capsys):
         # rows are selected from --out json, shell redirection writes a file, and the seed and sample
-        # count are a config's seed and samples (reproduce runs at the defaults)
+        # count are a config's seed and samples (reproduce's flags are tested above)
         cfg = write_config(tmp_path, MIX_M2)
         target = tmp_path / "report.txt"
-        runs = (["entropy", cfg, "--method", "mc"], ["bounds", cfg, "--oracle"], ["reproduce", "--table", "2"])
+        runs = (["entropy", cfg, "--method", "mc"], ["bounds", cfg, "--oracle"])
         for argv in (["reproduce", "--table", "1", "--rows", "d=1"],
                      ["reproduce", "--table", "1", "--out-file", str(target)],
                      ["entropy", cfg, "--out-file", str(target)],
