@@ -27,7 +27,9 @@ Layers:
 * cold ``skewt_shannon`` and ``skewt_renyi`` at orders 2 and 30: one call
   on each of ``--components`` fresh components (d = 1, 2, 3 in turn,
   dof 3-12), built anew for every repeat so that no kept correction is
-  reused; the time is per call;
+  reused; the time is per call. ``t_cdf_points`` is the mean number of
+  points each call passes to the quadrature's ``stdtr``, counted in one
+  more untimed pass, so it moves only when the code does;
 * ``renyi_bounds(d1_m4, 30)`` and ``shannon_bounds(d1_m4,
   convention="exact")`` on the bundled mixture d1_m4, cold and warm, with
   ``--components`` / 4 calls (at least one) per repeat, as many components
@@ -189,13 +191,23 @@ def components(count: int) -> list:
 
 
 def cold_entropy_layer(fn, specs: list, repeats: int) -> dict:
+    def fresh():
+        return [SkewTParams(mu=mu, scale=s, delta=de, dof=v) for mu, s, de, v in specs]
+
     times = []
     for _ in range(repeats + 1):  # the first pass, untimed, loads the node tables
-        fresh = [SkewTParams(mu=mu, scale=s, delta=de, dof=v) for mu, s, de, v in specs]
+        comps = fresh()
         start = time.perf_counter()
-        out = [fn(p) for p in fresh]
-        times.append((time.perf_counter() - start) / len(fresh))
-    return entry(times[1:], out, len(specs))
+        out = [fn(p) for p in comps]
+        times.append((time.perf_counter() - start) / len(comps))
+    real, seen = entropy.stdtr, []
+    entropy.stdtr = lambda v, a: seen.append(np.size(a)) or real(v, a)
+    try:
+        for p in fresh():
+            fn(p)
+    finally:
+        entropy.stdtr = real
+    return {**entry(times[1:], out, len(specs)), "t_cdf_points": sum(seen) / len(specs)}
 
 
 def bounds_layer(fn, components: int, repeats: int, warm: bool) -> dict:

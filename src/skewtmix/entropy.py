@@ -3,7 +3,12 @@
 The multivariate t entropies are fully closed forms in gamma/digamma
 terms. The skewness corrections are one dimensional expectations against
 a Student t weight, evaluated on arrays by a nested double-exponential
-rule.
+rule. The Shannon rule calls the t CDF once per +- pair of its nodes. The
+Renyi rule calls it on every node of its peak probe, but in the
+double-exponential sum only at the nodes whose bound, from the t log
+density alone, lies within 80 ln 2 of the centre term; the rest add an
+exact zero, as their terms are below 2^-80 of the sum, and every value,
+error estimate and point count is unchanged.
 
 A finished ``skewt_renyi`` or ``skewt_shannon`` value is kept on its
 component, keyed by the order (or Shannon and the digamma reading) and the
@@ -64,6 +69,8 @@ _DE_FIRST_STEP = 0.125
 # The finest step in t (81,921 nodes in all): fine enough for delta' S^-1 delta up to 1e6.
 _DE_MIN_STEP = 1.0 / 8192
 _ABS_TOL = _REL_TOL = 1e-9
+# How far below the centre term a node's bound must lie for the Renyi rule to skip it.
+_PRUNE_MARGIN = 80.0 * _LN2
 # Most nodes the peak probe of skewt_renyi may take; its count grows as sqrt(alpha).
 _PROBE_MAX_NODES = 1 << 16
 
@@ -109,7 +116,8 @@ def _sinh_sinh(fn, x0: float, scale: float, *, log: bool = False) -> _Quadrature
     strides ``[::4]``, ``[2::4]`` and ``[1::2]``; each further level halves
     the step and adds the odd nodes in one call, until the last two levels,
     whose difference is the error, agree within the tolerances or the step
-    reaches 1/8192. ``points`` counts the nodes evaluated.
+    reaches 1/8192. ``points`` counts the nodes placed: the Renyi rule's
+    integrand skips the t CDF at the nodes its bound rules out.
     """
     shift, points = None, 0
 
@@ -122,13 +130,13 @@ def _sinh_sinh(fn, x0: float, scale: float, *, log: bool = False) -> _Quadrature
             return vals * jac
         logs = vals + np.log(jac)
         if shift is None:  # the step-1/8 nodes of the first call
-            shift = float(np.max(logs[::4]))
+            shift = float(logs[::4].max())
         return np.exp(logs - shift)
 
     block = terms(*_level(0))
     finer = itertools.chain((block[2::4], block[1::2]), (terms(*_level(k)) for k in itertools.count(3)))
     h, f = _DE_FIRST_STEP, block[::4]
-    coarse, fine = 2.0 * h * float(np.sum(f[::2])), h * float(np.sum(f))
+    coarse, fine = 2.0 * h * float(f[::2].sum()), h * float(f.sum())
     while True:
         if log:
             value, error = shift + math.log(fine), abs(math.log(fine / coarse))
@@ -138,7 +146,7 @@ def _sinh_sinh(fn, x0: float, scale: float, *, log: bool = False) -> _Quadrature
         if converged or h == _DE_MIN_STEP:
             return _Quadrature(value, error, points, converged)
         h, f = h / 2.0, next(finer)
-        coarse, fine = fine, 0.5 * fine + h * float(np.sum(f))
+        coarse, fine = fine, 0.5 * fine + h * float(f.sum())
 
 
 def mt_shannon(p: SkewTParams, *, digamma: str = "halved") -> float:
@@ -300,10 +308,10 @@ def _renyi_rule(p: SkewTParams, alpha: float, variant: str) -> _Quadrature:
     dof_x = den if variant == "frozen" else alpha * (v + d) - d
     s = math.sqrt((v + d) * dd)
 
-    def log_integrand(x):
+    def log_skew(x):
         g = stdtr(v + d, s * x / np.hypot(math.sqrt(den), x))
         with np.errstate(divide="ignore"):
-            return specfn._t_logpdf(x, dof_x) + alpha * (_LN2 + np.log(g))
+            return alpha * (_LN2 + np.log(g))
 
     # Centre and scale the rule at the peak, which narrows as alpha grows. The
     # integrand is larger at x > 0 than at -x, and as 2 G1 <= 2 it beats its value
@@ -318,11 +326,26 @@ def _renyi_rule(p: SkewTParams, alpha: float, variant: str) -> _Quadrature:
         )
     step = reach / n
     probe = step * np.arange(-1, n + 2)
-    logs = log_integrand(probe)
+    logs = specfn._t_logpdf(probe, dof_x) + log_skew(probe)
     j = min(max(int(np.argmax(logs)), 1), n + 1)
     if not math.isfinite(logs[j]):
         raise ArithmeticError("order-alpha power expectation degenerated to zero")
     curvature = (2.0 * logs[j] - logs[j - 1] - logs[j + 1]) / step**2
     scale = 1.0 / math.sqrt(curvature) if 0.0 < curvature < math.inf else 1.0
+    x0 = float(probe[j])
 
-    return _sinh_sinh(log_integrand, float(probe[j]), scale, log=True)
+    # Past the log of scale pi/2, which every term shares, a node's log term is at most
+    # its t log density + alpha ln 2 (2 G1 <= 2) + 5 (cosh t <= e^5 on |t| <= 5)
+    # + ln(1 + |x - x0|/scale) (cosh u <= 1 + |sinh u|), and the centre node's is logs[j].
+    # A node whose bound lies 80 ln 2 below logs[j] adds under 2^-80 of the sum: it gets
+    # -inf, an exact zero term, without a t CDF call.
+    floor = logs[j] - _PRUNE_MARGIN - alpha * _LN2 - 5.0
+
+    def pruned(x):
+        out = specfn._t_logpdf(x, dof_x)
+        keep = out + np.log1p(np.abs(x - x0) / scale) >= floor
+        out[keep] += log_skew(x[keep])
+        out[~keep] = -np.inf
+        return out
+
+    return _sinh_sinh(pruned, x0, scale, log=True)

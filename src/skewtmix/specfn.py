@@ -8,7 +8,8 @@ Callers whose arguments are valid by construction skip it: the closed-form
 entropy constants call ``math.lgamma`` and ``scipy.special.psi``, and the
 entropy quadrature calls ``scipy.special.stdtr`` and the unchecked
 ``_t_logpdf``, with one ``stdtr`` call per +- pair of its mirrored
-Shannon nodes.
+Shannon nodes; the Renyi rule calls ``stdtr`` only at the nodes whose
+bound, from ``_t_logpdf`` alone, can move its sum.
 
 ``student_t_cdf`` of one dof v in [1, 64] (a scalar, 0-d or one-element
 ``v``) reads T_v from a table of 8 Taylor coefficients about each knot

@@ -23,8 +23,12 @@ def test_layer_bench_writes_its_keys(tmp_path):
                                   "skewt_renyi cold alpha=2", "skewt_renyi cold alpha=30",
                                   "renyi_bounds d1_m4 alpha=30 cold", "renyi_bounds d1_m4 alpha=30 warm",
                                   "shannon_bounds d1_m4 exact cold", "shannon_bounds d1_m4 exact warm"}
-    for layer in doc["layers"].values():
-        assert set(layer) == {"median_s", "iqr_s", "repeats", "size", "checksum"}
+    cold = {"skewt_shannon cold", "skewt_renyi cold alpha=2", "skewt_renyi cold alpha=30"}
+    for name, layer in doc["layers"].items():
+        extra = {"t_cdf_points"} if name in cold else set()
+        assert set(layer) == {"median_s", "iqr_s", "repeats", "size", "checksum"} | extra
+    for name in cold:
+        assert doc["layers"][name]["t_cdf_points"] > 0
     assert set(doc["end_to_end"]) == {"import skewtmix.cli", "reproduce --table 1", "reproduce --table 2",
                                       "reproduce --table 3", "bounds d2_m3 --oracle"}
     assert doc["end_to_end"]["bounds d2_m3 --oracle"]["size"] == 3

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import sys
@@ -12,7 +13,7 @@ from scipy import integrate, optimize, special, stats
 from skewtmix import entropy as entropy_module
 from skewtmix import specfn, tables
 from skewtmix.bounds import renyi_bounds, renyi_large_alpha_approx, shannon_bounds
-from skewtmix.distributions import sample_skewt, skewt_logpdf
+from skewtmix.distributions import derive_shape, sample_skewt, skewt_logpdf
 from skewtmix.entropy import (
     QuadratureWarning,
     mt_renyi,
@@ -445,12 +446,15 @@ def sequential_sinh_sinh(fn, x0, scale, *, log=False):
     """The nested sinh-sinh rule evaluated level by level, one integrand call per level.
 
     The reference that ``_sinh_sinh``, which evaluates its first levels in
-    one call, must match bit for bit.
+    one call, must match bit for bit in (value, error, points, converged).
+    Its points count the nodes placed, and at least the step-1/32 grid's
+    321, which ``_sinh_sinh`` places at once.
     """
-    shift = None
+    shift, points = None, 0
 
     def terms(t):
-        nonlocal shift
+        nonlocal shift, points
+        points += t.size
         u = 0.5 * math.pi * np.sinh(t)
         jac = scale * (0.5 * math.pi) * np.cosh(t) * np.cosh(u)
         vals = fn(x0 + scale * np.sinh(u))
@@ -471,7 +475,7 @@ def sequential_sinh_sinh(fn, x0, scale, *, log=False):
             value, error = fine, abs(fine - coarse)
         converged = error <= max(1e-9, 1e-9 * abs(value))
         if converged or h == 1.0 / 8192:
-            return value, error, converged
+            return value, error, max(points, 321), converged
         h /= 2.0
         f = terms(h * (2.0 * np.arange(-n, n) + 1.0))
         coarse, fine = fine, 0.5 * fine + h * float(np.sum(f))
@@ -517,8 +521,36 @@ class TestRuleBookkeeping:
             warnings.simplefilter("ignore", QuadratureWarning)
             RULE_ENTROPIES[kind](make(request.getfixturevalue(name)))
         (args, kwargs, _, rule), = calls
-        assert (rule.value, rule.error, rule.converged) == sequential_sinh_sinh(*args, **kwargs)
+        assert tuple(rule) == sequential_sinh_sinh(*args, **kwargs)
         assert rule.converged == (make is fresh or kind == "renyi30")
+
+    # The Renyi rule skips the t CDF at nodes whose bound rules them out; that must not
+    # move a bit against the whole integrand, t log density + alpha (ln 2 + ln G1), taken
+    # at every node, down to the smallest orders and the starved delta' S^-1 delta = 1e8.
+    @pytest.mark.parametrize("variant", ["frozen", "printed"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_renyi_rule_equals_the_whole_integrand(self, monkeypatch, d, variant):
+        calls = spy_rules(monkeypatch)
+        mismatches = []
+        for v, dd in itertools.product([0.5, 3.0, 1e6], [1e-8, 1.0, 40.0, 1e4, 1e8]):
+            p = make_component(np.zeros(d), np.eye(d), np.r_[math.sqrt(dd), np.zeros(d - 1)], v)
+            for alpha in [1.001 * d / (v + d), 0.5, 2.0, 30.0, 100.0, 1e5]:
+                if alpha * (v + d) <= d:
+                    continue
+                rule = entropy_module._renyi_rule(p, alpha, variant)
+                (_, x0, scale), kwargs, _, _ = calls.pop()
+                den = alpha * (v + d) - 1.0
+                dof_x = den if variant == "frozen" else alpha * (v + d) - d
+                s = math.sqrt((v + d) * derive_shape(p).dd)
+
+                def whole(x):
+                    g = special.stdtr(v + d, s * x / np.hypot(math.sqrt(den), x))
+                    with np.errstate(divide="ignore"):
+                        return specfn._t_logpdf(x, dof_x) + alpha * (math.log(2.0) + np.log(g))
+
+                if tuple(rule) != sequential_sinh_sinh(whole, x0, scale, **kwargs):
+                    mismatches.append((v, dd, alpha))
+        assert mismatches == []
 
     def test_cold_threads_equal_serial(self, case1, case2, case3):
         skewed = make_component([0.0, 1.0], np.eye(2), [100.0, 0.0], 3.0)
@@ -554,16 +586,16 @@ class TestRuleBookkeeping:
 
     # A perf guard without timing: a cold call makes one integrand call for the
     # first three levels, plus the peak probe of the Renyi rule. The Shannon call
-    # sees the 161 nodes y <= 0 of level 0's 321.
-    @pytest.mark.parametrize("kind, calls", [("shannon", 1), ("renyi2", 2)])
+    # sees the 161 nodes y <= 0 of level 0's 321; the Renyi rule calls the t CDF
+    # on the probe's nodes, then on the level-0 nodes its bound keeps (of 321).
+    @pytest.mark.parametrize("kind, calls", [("shannon", 1), ("renyi2", 2), ("renyi30", 2)])
     def test_cold_call_counts_of_the_t_cdf(self, monkeypatch, kind, calls):
         seen = []
         real = entropy_module.stdtr
         monkeypatch.setattr(entropy_module, "stdtr", lambda v, a: seen.append(np.size(a)) or real(v, a))
         RULE_ENTROPIES[kind](tables.single_case(1, 3.0))
         assert len(seen) == calls
-        if kind == "shannon":
-            assert seen == [161]
+        assert seen == {"shannon": [161], "renyi2": [10, 167], "renyi30": [32, 102]}[kind]
 
     @pytest.mark.parametrize("variant", ["frozen", "printed"])
     def test_shannon_rule_refuses_unpaired_nodes(self, monkeypatch, case2, variant):
