@@ -30,14 +30,16 @@ Layers:
   reused; the time is per call. ``t_cdf_points`` is the mean number of
   points each call passes to the quadrature's ``stdtr``, counted in one
   more untimed pass, so it moves only when the code does;
-* ``renyi_bounds(d1_m4, 30)`` and ``shannon_bounds(d1_m4,
-  convention="exact")`` on the bundled mixture d1_m4, cold and warm, with
+* ``renyi_bounds(d1_m4, 30)``, ``shannon_bounds(d1_m4,
+  convention="exact")`` and ``renyi_large_alpha_approx(d1_m4, 12)`` on the
+  bundled mixture d1_m4, cold and warm, with
   ``--components`` / 4 calls (at least one) per repeat, as many components
   as the cold entropy layers use: cold makes one call on each of that many
   copies built anew for every repeat, so every component entropy and
   moment is computed; warm makes as many calls on one copy that has been
   called once before, so each component returns its kept values. The time
-  is per call.
+  is per call. The checksum sums the calls' lower and upper values, or the
+  approximation's value.
 
 End to end, each of ``skewtmix reproduce --table 1|2|3 --out json`` runs
 as a whole subprocess at default settings, in the pinned environment, once
@@ -101,13 +103,18 @@ MC_THREADS = (1, 2)
 ORACLE_ORDERS = ("shannon", "2", "5")
 RENYI_ORDERS = (2.0, 30.0)
 BOUNDS_MIXTURE = "d1_m4"
-BOUNDS_LAYERS = {
-    f"renyi_bounds {BOUNDS_MIXTURE} alpha=30": lambda m: bounds.renyi_bounds(m, 30),
-    f"shannon_bounds {BOUNDS_MIXTURE} exact": lambda m: bounds.shannon_bounds(m, convention="exact"),
+BOUNDS_LAYERS = {  # each returns the float outputs that the layer's checksum sums
+    f"renyi_bounds {BOUNDS_MIXTURE} alpha=30": lambda m: bounds_pair(bounds.renyi_bounds(m, 30)),
+    f"shannon_bounds {BOUNDS_MIXTURE} exact": lambda m: bounds_pair(bounds.shannon_bounds(m, convention="exact")),
+    f"renyi_large_alpha_approx {BOUNDS_MIXTURE} alpha=12": lambda m: bounds.renyi_large_alpha_approx(m, 12),
 }
 REPRODUCE_TABLES = (1, 2, 3)
 CLI = "import sys; from skewtmix.cli import main; sys.exit(main(sys.argv[1:]))"
 IMPORT = "import sys, skewtmix.cli; print(len(sys.modules))"
+
+
+def bounds_pair(report) -> tuple:
+    return report.lower, report.upper
 
 
 def entry(times: list, outputs, size: int) -> dict:
@@ -219,7 +226,7 @@ def bounds_layer(fn, components: int, repeats: int, warm: bool) -> dict:
         start = time.perf_counter()
         out = [fn(m) for m in mixtures]
         times.append((time.perf_counter() - start) / count)
-    return entry(times[1:], [(r.lower, r.upper) for r in out], count)
+    return entry(times[1:], out, count)
 
 
 def subprocess_runs(argv: list, repeats: int) -> tuple:

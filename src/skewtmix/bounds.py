@@ -7,7 +7,8 @@ multinomial-Holder lower bound. That bound is the multinomial expansion
 of (sum w_i ||f_i||_alpha)^alpha, which by the multinomial theorem is
 evaluated in closed form as one log-sum over the components, so no
 composition is enumerated. Only the large-order approximation enumerates
-compositions, up to the fixed ``DEFAULT_COMPOSITION_CAP``.
+compositions, up to the fixed ``DEFAULT_COMPOSITION_CAP``, and it reads no
+coefficient: a ``Composition`` computes its own from its parts when read.
 
 Two conventions are exposed for the Shannon bounds:
 
@@ -47,6 +48,7 @@ multinomial-Holder lower bound, which is valid everywhere: by Minkowski,
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -80,10 +82,13 @@ class CompositionCapError(ValueError):
 
 @dataclass(frozen=True)
 class Composition:
-    """m nonnegative integers summing to alpha, with the exact multinomial coefficient."""
+    """m nonnegative parts summing to alpha; the exact multinomial coefficient is computed when read."""
 
     parts: tuple
-    coefficient: int
+
+    @property
+    def coefficient(self) -> int:
+        return math.factorial(sum(self.parts)) // math.prod(map(math.factorial, self.parts))
 
 
 @dataclass(frozen=True)
@@ -115,11 +120,12 @@ def composition_count(m: int, alpha: int) -> int:
 
 
 def enumerate_compositions(m: int, alpha: int) -> Iterator[Composition]:
-    """Yield every composition of alpha into m nonnegative parts once.
+    """Every composition of alpha into m nonnegative parts once, lexicographic in the parts.
 
-    Lexicographic in the parts tuple; coefficients are exact integers.
-    alpha = 0 yields the one all-zero composition. More than
-    ``DEFAULT_COMPOSITION_CAP`` compositions raise ``CompositionCapError``.
+    Stars and bars: each of the ``itertools.combinations`` of m - 1 bars among
+    alpha + m - 1 slots is one composition; alpha = 0 gives the all-zero one.
+    Bad arguments raise ``ValueError``, and more than ``DEFAULT_COMPOSITION_CAP``
+    compositions ``CompositionCapError``, at the call, before any is yielded.
     """
     if m < 1 or alpha < 0:
         raise ValueError("need m >= 1 and alpha >= 0")
@@ -128,23 +134,9 @@ def enumerate_compositions(m: int, alpha: int) -> Iterator[Composition]:
         raise CompositionCapError(
             f"composition count {total} exceeds the cap {DEFAULT_COMPOSITION_CAP} for m={m}, alpha={alpha}"
         )
-    fact_alpha = math.factorial(alpha)
-
-    def rec(remaining: int, parts: list):
-        if len(parts) == m - 1:
-            parts.append(remaining)
-            coef = fact_alpha
-            for k in parts:
-                coef //= math.factorial(k)
-            yield Composition(parts=tuple(parts), coefficient=coef)
-            parts.pop()
-            return
-        for k in range(remaining + 1):
-            parts.append(k)
-            yield from rec(remaining - k, parts)
-            parts.pop()
-
-    yield from rec(alpha, [])
+    slots = alpha + m - 1
+    bars = itertools.combinations(range(slots), m - 1)
+    return (Composition(tuple(b - a - 1 for a, b in zip((-1, *c), (*c, slots)))) for c in bars)
 
 
 def _centered_covariance(m: MixtureParams) -> SpdMatrix:
@@ -286,10 +278,13 @@ def renyi_large_alpha_approx(m: MixtureParams, alpha) -> float:
     entropy at m = 1. Components of zero weight are left out, as in the
     bounds, and m counts only the others. It is an approximation, not a
     bound: on the bundled d = 1 mixtures with m = 2-4 it lies below the
-    multinomial-Holder lower bound at orders 10-30. An order with more
-    than ``DEFAULT_COMPOSITION_CAP`` compositions raises
-    ``CompositionCapError``, and a component whose entropy cannot be
-    evaluated raises that component's own error.
+    multinomial-Holder lower bound at orders 10-30. Each component's log
+    factors form one row before the C(alpha - 1, m - 1) compositions add
+    up its entries, so each entropy is read once per order per call, and
+    none is kept. More than ``DEFAULT_COMPOSITION_CAP`` compositions raise
+    ``CompositionCapError`` before any entropy is computed; a component
+    whose entropy cannot be evaluated, the first in listed order, raises
+    its own error.
     """
     alpha = _check_alpha_int(alpha)
     live = [(math.log(w), c) for w, c in _live(m)]
@@ -299,14 +294,19 @@ def renyi_large_alpha_approx(m: MixtureParams, alpha) -> float:
             "alpha must be at least the component count for the large-order form, zero weights "
             f"not counted; got alpha={alpha}, m={n}"
         )
+    compositions = enumerate_compositions(n, alpha - n)  # each part is its order k less one
     ratio = (1.0 - alpha) / alpha
-    terms = []
-    # parts shifted down by one; at alpha = m only the all-ones composition exists
-    for composition in enumerate_compositions(n, alpha - n):
-        acc = 0.0
-        for (logw, comp), part in zip(live, composition.parts):
-            k = part + 1  # strictly positive parts
+    rows = []
+    for logw, comp in live:
+        row = [None] * (alpha - n + 1)
+        for k in range(1 if n > 1 else alpha, alpha - n + 2):  # one component reads only order alpha
             entropy = skewt_shannon(comp) if k == 1 else skewt_renyi(comp, float(k))
-            acc += -k * math.log(k / alpha) + k * logw + ratio * k * entropy
+            row[k - 1] = -k * math.log(k / alpha) + k * logw + ratio * k * entropy
+        rows.append(row)
+    terms = []
+    for composition in compositions:
+        acc = 0.0
+        for row, part in zip(rows, composition.parts):
+            acc += row[part]
         terms.append(acc)
     return _logsumexp(np.array(terms)) / (1.0 - alpha)

@@ -335,7 +335,7 @@ def mixture_logpdf(m: MixtureParams, x) -> float | np.ndarray:
 
     The weighted component log densities are stacked component-major, one
     contiguous row per component of positive weight, and reduced over that
-    leading axis in place. The first component's call checks x.
+    leading axis in place. Every component's call checks x, so the first raises.
     """
     x = np.asarray(x, dtype=float)
     terms = [(math.log(w), comp) for w, comp in _live(m)]

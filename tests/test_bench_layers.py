@@ -22,7 +22,9 @@ def test_layer_bench_writes_its_keys(tmp_path):
                                   "mc_shannon d2_m3 threads=2", "skewt_shannon cold",
                                   "skewt_renyi cold alpha=2", "skewt_renyi cold alpha=30",
                                   "renyi_bounds d1_m4 alpha=30 cold", "renyi_bounds d1_m4 alpha=30 warm",
-                                  "shannon_bounds d1_m4 exact cold", "shannon_bounds d1_m4 exact warm"}
+                                  "shannon_bounds d1_m4 exact cold", "shannon_bounds d1_m4 exact warm",
+                                  "renyi_large_alpha_approx d1_m4 alpha=12 cold",
+                                  "renyi_large_alpha_approx d1_m4 alpha=12 warm"}
     cold = {"skewt_shannon cold", "skewt_renyi cold alpha=2", "skewt_renyi cold alpha=30"}
     for name, layer in doc["layers"].items():
         extra = {"t_cdf_points"} if name in cold else set()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from skewtmix import tables
+from skewtmix import bounds, tables
 from skewtmix.bounds import (
     DEFAULT_COMPOSITION_CAP,
     CompositionCapError,
@@ -381,6 +381,54 @@ class TestLargeAlphaApprox:
         report = renyi_bounds(mixtures[m], alpha, convention="exact")
         assert report.lower <= truth <= report.upper
         assert renyi_large_alpha_approx(mixtures[m], alpha) < report.lower
+
+    def test_each_component_entropy_is_read_once(self, mixtures, case1, monkeypatch):
+        renyi, shannon = [], []
+        monkeypatch.setattr(bounds, "skewt_renyi", lambda c, a: renyi.append((id(c), a)) or skewt_renyi(c, a))
+        monkeypatch.setattr(bounds, "skewt_shannon", lambda c: shannon.append(id(c)) or skewt_shannon(c))
+        mix = mixtures[4]
+        renyi_large_alpha_approx(mix, 30)
+        assert (len(renyi), len(shannon)) == (104, 4)
+        # orders 2 to alpha - m + 1 = 27 and Shannon at 1, each once per component
+        assert sorted(renyi) == sorted((id(c), float(k)) for c in mix.components for k in range(2, 28))
+        assert sorted(shannon) == sorted(id(c) for c in mix.components)
+        renyi.clear()
+        shannon.clear()
+        renyi_large_alpha_approx(make_mixture([case1], [1.0]), 12)
+        assert [a for _, a in renyi] == [12.0] and shannon == []
+
+    @staticmethod
+    def log_space_convolution(mix, alpha):
+        """The form as the alpha-th entry of the convolution of one factor sequence per component."""
+        ratio, top = (1.0 - alpha) / alpha, alpha - mix.n_components + 1
+        ks = np.arange(1, top + 1)
+        acc = np.array([0.0])  # log of the convolution so far, indexed by the order spent
+        for w, c in zip(mix.weights, mix.components):
+            ent = np.array([skewt_shannon(c) if k == 1 else skewt_renyi(c, float(k)) for k in ks])
+            log_f = -ks * np.log(ks / alpha) + ks * math.log(w) + ratio * ks * ent
+            nxt = np.full(len(acc) + top, -np.inf)
+            for j in np.flatnonzero(np.isfinite(acc)):
+                nxt[j + 1 : j + 1 + top] = np.logaddexp(nxt[j + 1 : j + 1 + top], acc[j] + log_f)
+            acc = nxt
+        return float(acc[alpha]) / (1.0 - alpha)
+
+    @pytest.mark.parametrize("mixture_id", ["d1_m2", "d1_m3", "d1_m4", "d1_m5", "d2_m2", "d2_m3"])
+    def test_matches_a_log_space_convolution(self, mixture_id):
+        mix = tables.builtin_mixture(mixture_id)
+        for alpha in sorted({mix.n_components, 5, 10, 20, 30}):
+            expected = self.log_space_convolution(mix, alpha)
+            assert renyi_large_alpha_approx(mix, alpha) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_cap_raises_before_any_entropy(self, case1, monkeypatch):
+        reads = []
+        monkeypatch.setattr(bounds, "skewt_renyi", lambda c, a: reads.append(a) or skewt_renyi(c, a))
+        monkeypatch.setattr(bounds, "skewt_shannon", lambda c: reads.append(1) or skewt_shannon(c))
+        mix = make_mixture([case1] * 6, [1.0 / 6.0] * 6)
+        with pytest.raises(CompositionCapError, match="71523144"):
+            renyi_large_alpha_approx(mix, 100)
+        with pytest.raises(CompositionCapError):
+            enumerate_compositions(6, 94)  # at the call, not at the first composition
+        assert reads == []
 
     def test_within_widened_bounds(self, mixtures):
         alpha = 20
